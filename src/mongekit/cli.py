@@ -18,7 +18,6 @@ import argparse
 import json
 import os
 import sys
-import tempfile
 
 from .errors import GeometryError, ScenarioError
 from .figure import render_figure
@@ -30,12 +29,12 @@ from .generators import (
     gen_vertex_config,
 )
 from .kernel import Tolerance
-from .menelaus import menelaus_products
 from .monge import MongeConfig, run_monge
-from .noneuclid import verify_prop2
 from .scenario import (
     EUCLIDEAN,
     atomic_write_json,
+    atomic_write_text,
+    edge_point_verifier,
     parse_scenario,
     scenario_to_object,
     verify_scenario,
@@ -75,21 +74,6 @@ def _resolve_tolerance(value):
     if not value > 0:
         raise ScenarioError("tolerance must be positive")
     return Tolerance(abs=value, rel=value)
-
-
-def _atomic_write_text(path, text):
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        raise
 
 
 def _load_json(path):
@@ -172,10 +156,7 @@ def _case_violation(report):
 def cmd_sweep(args):
     tol = _resolve_tolerance(args.tolerance)
     dims = _parse_dims(args.dims)
-    verifier = (
-        (lambda c: menelaus_products(c, tol)) if args.geometry == EUCLIDEAN
-        else (lambda c: verify_prop2(c, tol))
-    )
+    verify = edge_point_verifier(args.geometry)
     rows = []
     clean = True
     for dim in dims:
@@ -190,11 +171,11 @@ def cmd_sweep(args):
         max_residual = 0.0
         neg_floor = float("inf")
         for k in range(args.per_cell):
-            rep = verifier(gen_menelaus_case(pos_spec, positive=True, index=k))
+            rep = verify(gen_menelaus_case(pos_spec, positive=True, index=k), tol)
             if rep.verdict:
                 pos_pass += 1
             max_residual = max(max_residual, _case_violation(rep))
-            rep = verifier(gen_menelaus_case(neg_spec, positive=False, index=k))
+            rep = verify(gen_menelaus_case(neg_spec, positive=False, index=k), tol)
             if not rep.verdict:
                 neg_pass += 1
             neg_floor = min(neg_floor, _case_violation(rep))
@@ -217,7 +198,7 @@ def cmd_figure(args):
     config = MongeConfig.build(scenario.payload, _resolve_tolerance(None))
     report = run_monge(config, _resolve_tolerance(None))
     svg = render_figure(config.shapes, report.centers, report.hyperplane)
-    _atomic_write_text(args.output, svg)
+    atomic_write_text(args.output, svg)
     return 0
 
 

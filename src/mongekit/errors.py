@@ -40,10 +40,6 @@ class NonCoplanar(GeometryError):
     """Exact mode only: the points do not lie in any common hyperplane."""
 
 
-class NearParallel(GeometryError):
-    """Line direction is (numerically) parallel to the hyperplane."""
-
-
 class NotOnLine(GeometryError):
     """A point expected on a given line is off it beyond tolerance."""
 

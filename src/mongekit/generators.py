@@ -256,7 +256,7 @@ def gen_vertex_config(spec: GenSpec, index=0, tol: Tolerance = DEFAULT_TOLERANCE
         raise InvalidInput("spec kind must be 'vertex_sets'")
     rng = _child_rng(spec.seed, index)
     n = spec.dimension
-    m = rng.randint(n + 1, 12)
+    m = rng.randint(n + 1, max(n + 1, 12))
     base = VertexSet(vertices=tuple(
         tuple(rng.uniform(-EUCLID_BOX, EUCLID_BOX) for _ in range(n)) for _ in range(m)
     ))

@@ -21,7 +21,6 @@ from .errors import (
     DegenerateConfiguration,
     DimensionMismatch,
     InvalidInput,
-    NearParallel,
     NonCoplanar,
 )
 
@@ -34,7 +33,6 @@ __all__ = [
     "affine_span_dim",
     "affinely_independent",
     "fit_hyperplane",
-    "line_hyperplane_intersection",
 ]
 
 
@@ -318,10 +316,6 @@ class Hyperplane:
         nrm = math.sqrt(sum(float(a) * float(a) for a in self.normal))
         return abs(float(self.evaluate(point))) / nrm
 
-    def as_float(self):
-        """Same hyperplane re-normalized under the float convention."""
-        return Hyperplane.build([float(a) for a in self.normal], float(self.offset))
-
 
 def _bbox_diameter(a: np.ndarray) -> float:
     return float(np.linalg.norm(a.max(axis=0) - a.min(axis=0)))
@@ -392,37 +386,3 @@ def fit_hyperplane(points, tol: Tolerance = DEFAULT_TOLERANCE):
     if is_exact(pts):
         return _fit_exact(_as_fraction_rows(pts))
     return _fit_float(_as_float_rows(pts), tol)
-
-
-def line_hyperplane_intersection(p, q, plane: Hyperplane, tol: Tolerance = DEFAULT_TOLERANCE):
-    """Intersection point of the line through p, q with ``plane``.
-
-    Raises NearParallel when the direction is (numerically) parallel.
-    """
-    exact = is_exact([list(p), list(q), list(plane.normal), plane.offset])
-    if len(p) != len(q) or len(p) != plane.dim:
-        raise DimensionMismatch("point and hyperplane dimensions differ")
-    if exact:
-        pp = [Fraction(x) for x in p]
-        qq = [Fraction(x) for x in q]
-        if pp == qq:
-            raise InvalidInput("line endpoints must differ")
-        direction = [b - a for a, b in zip(pp, qq)]
-        denom = sum(a * d for a, d in zip(plane.normal, direction))
-        if denom == 0:
-            raise NearParallel("line is parallel to the hyperplane")
-        t = (plane.offset - sum(a * x for a, x in zip(plane.normal, pp))) / denom
-        return tuple(a + t * d for a, d in zip(pp, direction))
-    pa = np.asarray([float(x) for x in p])
-    qa = np.asarray([float(x) for x in q])
-    na = np.asarray([float(x) for x in plane.normal])
-    direction = qa - pa
-    dir_norm = float(np.linalg.norm(direction))
-    if dir_norm == 0.0:
-        raise InvalidInput("line endpoints must differ")
-    denom = float(na @ direction)
-    scale = float(np.linalg.norm(na)) * dir_norm
-    if abs(denom) <= tol.scaled(scale):
-        raise NearParallel("line is (nearly) parallel to the hyperplane")
-    t = (float(plane.offset) - float(na @ pa)) / denom
-    return tuple(pa + t * direction)

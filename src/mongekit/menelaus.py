@@ -23,10 +23,10 @@ from .errors import (
     DegenerateConfiguration,
     DimensionMismatch,
     EqualWeights,
-    GeometryError,
     InvalidInput,
     NonCoplanar,
     NotOnLine,
+    NotSpacelike,
 )
 from .kernel import (
     DEFAULT_TOLERANCE,
@@ -87,6 +87,7 @@ class EdgePointSet:
         return len(self.vertices[0])
 
     def validate(self, tol: Tolerance = DEFAULT_TOLERANCE):
+        """Check the structure and return the signed ratio of every pair."""
         n = self.dimension
         if len(self.vertices) != n + 1:
             raise DimensionMismatch(
@@ -100,18 +101,28 @@ class EdgePointSet:
             raise InvalidInput(
                 f"edge point pairs {sorted(got)} do not match expected {sorted(expected)}"
             )
+        lambdas = {}
         for (i, j), b in sorted(self.edge_points.items()):
             if len(b) != n:
                 raise DimensionMismatch(f"edge point {(i, j)} has wrong dimension")
             # raises NotOnLine / CoincidesWithVertex with pair context
-            signed_ratio(self.vertices[i - 1], self.vertices[j - 1], b, tol, pair=(i, j))
+            lambdas[(i, j)] = signed_ratio(
+                self.vertices[i - 1], self.vertices[j - 1], b, tol, pair=(i, j)
+            )
+        return lambdas
 
 
 @dataclass(frozen=True)
 class MenelausReport:
+    """Verdict of the edge-point criterion in E^n, S^n or H^n.
+
+    ``hyperplane`` is a Hyperplane (E^n) or an XnHyperplane section
+    (S^n, H^n), or None when no plane could be fitted.
+    """
+
     lambdas: dict
     triple_residuals: dict
-    hyperplane: Hyperplane | None
+    hyperplane: object
     hyperplane_residual: object
     verdict: bool
 
@@ -162,34 +173,26 @@ def signed_ratio(a_i, a_j, b, tol: Tolerance = DEFAULT_TOLERANCE, pair=None):
     return float(d1 @ d2) / float(d2 @ d2)
 
 
-def menelaus_products(eps: EdgePointSet, tol: Tolerance = DEFAULT_TOLERANCE) -> MenelausReport:
-    """Evaluate the signed triple products and the hyperplane fit.
+def _menelaus_report(lambdas, points, fit, tol: Tolerance, exact=False) -> MenelausReport:
+    """Triple products and hyperplane fit of edge points, in any geometry.
 
-    The verdict is true only when every triple residual and the relative
-    hyperplane residual pass the tolerance (exact backend: both exactly 0).
-    Triple products are evaluated as (lambda_ik / lambda_ij) / lambda_jk
-    so that like magnitudes cancel before anything can overflow.
+    The verdict is true only when every triple residual and the fit
+    residual pass the tolerance (exact backend: both exactly 0).  Triple
+    products are evaluated as (lambda_ik / lambda_ij) / lambda_jk so that
+    like magnitudes cancel before anything can overflow.  ``fit`` returns
+    (hyperplane, residual) for the points.
     """
-    eps.validate(tol)
-    n = eps.dimension
-    exact = is_exact([list(v) for v in eps.vertices])
-    lambdas = {}
-    for (i, j) in all_pairs(n + 1):
-        lambdas[(i, j)] = signed_ratio(
-            eps.vertices[i - 1], eps.vertices[j - 1], eps.edge_points[(i, j)], tol, pair=(i, j)
-        )
-    triple_residuals = {}
-    for (i, j, k) in combinations(range(1, n + 2), 3):
-        prod = (lambdas[(i, k)] / lambdas[(i, j)]) / lambdas[(j, k)]
-        triple_residuals[(i, j, k)] = abs(prod - 1)
+    count = max(j for _, j in lambdas)
+    triple_residuals = {
+        (i, j, k): abs((lambdas[(i, k)] / lambdas[(i, j)]) / lambdas[(j, k)] - 1)
+        for (i, j, k) in combinations(range(1, count + 1), 3)
+    }
     thr = 0 if exact else tol.scaled(1.0)
     products_ok = all(r <= thr for r in triple_residuals.values())
-
-    points = [eps.edge_points[p] for p in sorted(eps.edge_points)]
     try:
-        plane, plane_res = fit_hyperplane(points, tol)
+        plane, plane_res = fit(points, tol)
         plane_ok = plane_res <= thr
-    except NonCoplanar:
+    except (NonCoplanar, NotSpacelike):
         plane, plane_res, plane_ok = None, None, False
     except DegenerateConfiguration:
         # edge points span less than a hyperplane, so they certainly lie in one
@@ -201,6 +204,14 @@ def menelaus_products(eps: EdgePointSet, tol: Tolerance = DEFAULT_TOLERANCE) -> 
         hyperplane_residual=plane_res,
         verdict=bool(products_ok and plane_ok),
     )
+
+
+def menelaus_products(eps: EdgePointSet, tol: Tolerance = DEFAULT_TOLERANCE) -> MenelausReport:
+    """Evaluate the signed triple products and the hyperplane fit in E^n."""
+    lambdas = eps.validate(tol)
+    points = [eps.edge_points[p] for p in sorted(eps.edge_points)]
+    exact = is_exact([list(v) for v in eps.vertices])
+    return _menelaus_report(lambdas, points, fit_hyperplane, tol, exact)
 
 
 def _check_weights(vertices, weights):

@@ -35,7 +35,7 @@ from .kernel import (
 from .menelaus import all_pairs
 from .shapes import size_measure
 
-__all__ = ["MongeConfig", "MongeReport", "run_monge", "cross_ratio_consistency"]
+__all__ = ["MongeConfig", "MongeReport", "run_monge"]
 
 
 @dataclass(frozen=True)
@@ -150,17 +150,3 @@ def run_monge(config: MongeConfig, tol: Tolerance = DEFAULT_TOLERANCE) -> MongeR
             centers=centers, ratios=ratios, hyperplane=plane, residual=residual,
             degenerate=True, span_dim=e.span_dim, verdict=True,
         )
-
-
-def cross_ratio_consistency(report: MongeReport) -> dict:
-    """Per-triple consistency gaps |lambda_ij * lambda_jk / lambda_ik - 1|.
-
-    For any three shapes the two-step ratio composition must equal the
-    direct one; the map is empty only for degenerate index sets.
-    """
-    count = max(j for _, j in report.ratios)
-    out = {}
-    for (i, j, k) in combinations(range(1, count + 1), 3):
-        val = (report.ratios[(i, j)] * report.ratios[(j, k)]) / report.ratios[(i, k)]
-        out[(i, j, k)] = abs(val - 1)
-    return out

@@ -2,21 +2,25 @@
 
 Points of S^n live on the unit sphere of E^{n+1}; points of H^n live on
 the upper sheet of <x, x>_L = -1 where <x, y>_L = -x_0 y_0 + sum x_k y_k.
-Lines are intersections with two-dimensional linear subspaces, and the
-edge-point ratio lambda_ij uses sin (sphere) or sinh (hyperboloid) of
-geodesic distances in place of Euclidean lengths.  Hyperplane sections
-are zero sets {x : B(w, x) = 0} of the ambient bilinear form; on the
-hyperboloid a valid w must be spacelike.
+Lines are intersections with two-dimensional linear subspaces.  The
+edge-point ratio lambda_ij = |a_i ^ b| / |a_j ^ b| is the sin (sphere) or
+sinh (hyperboloid) ratio of the two sub-arcs, but it is computed by
+linear algebra alone: one decomposition b = alpha a_i + beta a_j gives the
+line and arc-order tests, and each bivector norm comes from a chord in the
+ambient bilinear form.  Hyperplane sections are zero sets
+{x : B(w, x) = 0} of that form; on the hyperboloid a valid w must be
+spacelike.  Triple products, thresholds and the report are shared with
+the Euclidean verifier in menelaus.
 
-Everything here runs on the float backend only; the transcendental
-functions admit no exact rational treatment.
+Everything here runs on the float backend only.  Geodesic distances
+(geodesic_distance, arc_contains, xn_homothety_image) serve the generators,
+not the verifier.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations
 
 import numpy as np
 
@@ -33,7 +37,7 @@ from .errors import (
     NotTimelike,
 )
 from .kernel import DEFAULT_TOLERANCE, Tolerance, _float_rank
-from .menelaus import _check_weights, all_pairs
+from .menelaus import MenelausReport, _check_weights, _menelaus_report, all_pairs
 
 __all__ = [
     "SPHERICAL",
@@ -41,15 +45,12 @@ __all__ = [
     "XnPoint",
     "XnHyperplane",
     "XnConfig",
-    "XnMenelausReport",
     "sphere_point",
     "hyperboloid_point",
     "geodesic_distance",
     "arc_contains",
     "xn_homothety_image",
     "xn_lambda",
-    "lambda_from_span",
-    "lambda_from_distances",
     "xn_independent",
     "xn_hyperplane_fit",
     "verify_prop2",
@@ -186,62 +187,63 @@ def xn_homothety_image(center: XnPoint, p: XnPoint, lam, tol: Tolerance = DEFAUL
     return _make_point(g, vec)
 
 
-def lambda_from_span(a_i: XnPoint, a_j: XnPoint, b: XnPoint, tol: Tolerance = DEFAULT_TOLERANCE):
-    """Ratio |beta / alpha| from the decomposition b = alpha a_i + beta a_j.
+def _form(g, u, v):
+    """The model's bilinear form: Euclidean dot on S^n, Lorentz form on H^n."""
+    if g == HYPERBOLIC:
+        return _lorentz_dot(u, v)
+    return float(u @ v)
 
-    The coefficients are found by Euclidean least squares in the ambient
-    space; a large residual means b is off the line through a_i and a_j.
+
+def _chord(g, u, v):
+    """Chord length |v - u| in the model's form, about the geodesic distance when small."""
+    w = v - u
+    return math.sqrt(abs(_form(g, w, w)))
+
+
+def _wedge_norm(g, a, b):
+    """|a ^ b| in the model's form: sin (S^n) or sinh (H^n) of the distance |ab|.
+
+    Taken from the chord w = b - a as the part of w orthogonal to a, which
+    stays accurate when a and b are close.
     """
-    _same_space(a_i, a_j, b)
-    m = np.stack([a_i.as_array(), a_j.as_array()], axis=1)
-    sol, *_ = np.linalg.lstsq(m, b.as_array(), rcond=None)
-    alpha, beta = float(sol[0]), float(sol[1])
-    gap = float(np.linalg.norm(m @ sol - b.as_array()))
-    if gap > tol.scaled(1.0):
-        raise NotOnLine("edge point is off the vertex line")
-    if alpha == 0.0:
-        raise NotOnLine("edge point is in the direction of a vertex")
-    return abs(beta / alpha)
-
-
-def lambda_from_distances(a_i: XnPoint, a_j: XnPoint, b: XnPoint):
-    """sin or sinh ratio of the two sub-arcs |a_i b| and |b a_j|."""
-    g = _same_space(a_i, a_j, b)
-    d_ib = geodesic_distance(a_i, b)
-    d_bj = geodesic_distance(b, a_j)
-    if g == SPHERICAL:
-        return math.sin(d_ib) / math.sin(d_bj)
-    return math.sinh(d_ib) / math.sinh(d_bj)
+    w = b - a
+    r = w - (_form(g, w, a) / _form(g, a, a)) * a
+    return math.sqrt(abs(_form(g, r, r)))
 
 
 def xn_lambda(a_i: XnPoint, a_j: XnPoint, b: XnPoint, tol: Tolerance = DEFAULT_TOLERANCE, pair=None):
     """Homothety-analog ratio of the edge point b on the line a_i a_j.
 
-    Requires a_j on the arc from a_i to b.  The sphere value is computed
-    from the span decomposition, the hyperboloid value from sinh of the
-    stable geodesic distances; the two agree on valid input.
+    One decomposition b = alpha a_i + beta a_j of the ambient vectors
+    decides everything: its residual tests that b is on the line, and
+    alpha < 0 < beta that a_j lies on the arc from a_i to b.  The ratio is
+    |a_i ^ b| / |a_j ^ b|, the sin (sphere) or sinh (hyperboloid) ratio of
+    the sub-arcs |a_i b| and |a_j b|.
     """
     try:
         g = _same_space(a_i, a_j, b)
-        d_ij = geodesic_distance(a_i, a_j)
-        if d_ij <= tol.scaled(1.0):
-            raise CoincidesWithVertex("vertices coincide")
-        if g == SPHERICAL and d_ij >= math.pi - ANTIPODAL_GUARD:
-            raise AntipodalPoints("vertices are (nearly) antipodal")
-        near = tol.scaled(1.0)
-        if geodesic_distance(b, a_i) <= near or geodesic_distance(b, a_j) <= near:
-            raise CoincidesWithVertex("edge point coincides with a vertex")
-        lam_span = lambda_from_span(a_i, a_j, b, tol)
-        if not arc_contains(a_i, b, a_j, tol):
-            raise ArcOrderViolation("second vertex is not on the arc to the edge point")
-        if g == SPHERICAL:
-            return lam_span
-        return lambda_from_distances(a_i, a_j, b)
     except GeometryError as e:
-        if pair is not None and e.pair is None:
-            e.pair = pair
-            e.args = (f"pair {pair}: {e.args[0]}",) if e.args else (f"pair {pair}",)
-        raise
+        raise type(e)(e.args[0], pair=pair) from None
+    u, v, x = a_i.as_array(), a_j.as_array(), b.as_array()
+    near = tol.scaled(1.0)
+    if _chord(g, u, v) <= near:
+        raise CoincidesWithVertex("vertices coincide", pair=pair)
+    if g == SPHERICAL and float(np.linalg.norm(u + v)) <= ANTIPODAL_GUARD:
+        raise AntipodalPoints("vertices are (nearly) antipodal", pair=pair)
+    if _chord(g, x, u) <= near or _chord(g, x, v) <= near:
+        raise CoincidesWithVertex("edge point coincides with a vertex", pair=pair)
+    m = np.stack([u, v], axis=1)
+    sol, *_ = np.linalg.lstsq(m, x, rcond=None)
+    if float(np.linalg.norm(m @ sol - x)) > near:
+        raise NotOnLine("edge point is off the vertex line", pair=pair)
+    alpha, beta = sol
+    if alpha == 0.0:
+        raise NotOnLine("edge point is in the direction of a vertex", pair=pair)
+    if g == SPHERICAL and float(np.linalg.norm(u + x)) <= ANTIPODAL_GUARD:
+        raise AntipodalPoints("arc endpoints are (nearly) antipodal", pair=pair)
+    if not alpha < 0.0 < beta:
+        raise ArcOrderViolation("second vertex is not on the arc to the edge point", pair=pair)
+    return _wedge_norm(g, u, x) / _wedge_norm(g, v, x)
 
 
 def xn_independent(points, tol: Tolerance = DEFAULT_TOLERANCE) -> bool:
@@ -268,11 +270,7 @@ class XnHyperplane:
     normal: tuple
 
     def evaluate(self, point: XnPoint):
-        w = np.asarray(self.normal)
-        x = point.as_array()
-        if self.geometry == HYPERBOLIC:
-            return _lorentz_dot(w, x)
-        return float(w @ x)
+        return _form(self.geometry, np.asarray(self.normal), point.as_array())
 
 
 def xn_hyperplane_fit(points, tol: Tolerance = DEFAULT_TOLERANCE):
@@ -317,6 +315,7 @@ class XnConfig:
         return self.vertices[0].dimension
 
     def validate(self, tol: Tolerance = DEFAULT_TOLERANCE):
+        """Check the structure and return the ratio xn_lambda of every pair."""
         pts = list(self.vertices) + [self.edge_points[k] for k in sorted(self.edge_points)]
         _same_space(*pts)
         n = self.dimension
@@ -328,51 +327,23 @@ class XnConfig:
             raise InvalidInput("edge point pairs do not cover all vertex pairs exactly once")
         if not xn_independent(self.vertices, tol):
             raise DegenerateConfiguration("vertex vectors are linearly dependent")
+        return {
+            (i, j): xn_lambda(self.vertices[i - 1], self.vertices[j - 1],
+                              self.edge_points[(i, j)], tol, pair=(i, j))
+            for (i, j) in all_pairs(n + 1)
+        }
 
 
-@dataclass(frozen=True)
-class XnMenelausReport:
-    lambdas: dict
-    triple_residuals: dict
-    hyperplane: XnHyperplane | None
-    hyperplane_residual: float | None
-    verdict: bool
-
-
-def verify_prop2(config: XnConfig, tol: Tolerance = DEFAULT_TOLERANCE) -> XnMenelausReport:
+def verify_prop2(config: XnConfig, tol: Tolerance = DEFAULT_TOLERANCE) -> MenelausReport:
     """Test the triple products and common section of an X^n edge-point set.
 
-    The verdict is true when every product lambda_ij^-1 lambda_ik
-    lambda_jk^-1 is 1 within tolerance and one hyperplane section carries
-    all edge points within tolerance.
+    Same criterion as menelaus_products: every product lambda_ij^-1
+    lambda_ik lambda_jk^-1 is 1 within tolerance and one hyperplane
+    section carries all edge points within tolerance.
     """
-    config.validate(tol)
-    n = config.dimension
-    lambdas = {}
-    for (i, j) in all_pairs(n + 1):
-        lambdas[(i, j)] = xn_lambda(
-            config.vertices[i - 1], config.vertices[j - 1],
-            config.edge_points[(i, j)], tol, pair=(i, j),
-        )
-    triple_residuals = {}
-    for (i, j, k) in combinations(range(1, n + 2), 3):
-        prod = (lambdas[(i, k)] / lambdas[(i, j)]) / lambdas[(j, k)]
-        triple_residuals[(i, j, k)] = abs(prod - 1.0)
-    thr = tol.scaled(1.0)
-    products_ok = all(r <= thr for r in triple_residuals.values())
+    lambdas = config.validate(tol)
     points = [config.edge_points[p] for p in sorted(config.edge_points)]
-    try:
-        plane, plane_res = xn_hyperplane_fit(points, tol)
-        plane_ok = plane_res <= thr
-    except (DegenerateConfiguration, NotSpacelike):
-        plane, plane_res, plane_ok = None, None, False
-    return XnMenelausReport(
-        lambdas=lambdas,
-        triple_residuals=triple_residuals,
-        hyperplane=plane,
-        hyperplane_residual=plane_res,
-        verdict=bool(products_ok and plane_ok),
-    )
+    return _menelaus_report(lambdas, points, xn_hyperplane_fit, tol)
 
 
 def xn_edge_points_from_weights(vertices, weights, tol: Tolerance = DEFAULT_TOLERANCE) -> XnConfig:

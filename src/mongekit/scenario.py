@@ -24,6 +24,7 @@ so a report can be re-verified byte-for-byte.
 from __future__ import annotations
 
 import json
+import math
 import os
 import tempfile
 import time
@@ -53,6 +54,8 @@ __all__ = [
     "scenario_to_object",
     "verify_scenario",
     "encode_number",
+    "edge_point_verifier",
+    "atomic_write_text",
     "atomic_write_json",
 ]
 
@@ -74,6 +77,8 @@ def _fail(message, where):
 def _number(value, exact, where):
     if isinstance(value, bool):
         _fail("expected a number", where)
+    if isinstance(value, float) and not math.isfinite(value):
+        _fail("numbers must be finite", where)
     if exact:
         if isinstance(value, int):
             return Fraction(value)
@@ -87,13 +92,16 @@ def _number(value, exact, where):
             except (ValueError, ZeroDivisionError):
                 _fail(f"malformed rational {value!r}", where)
         _fail("expected a number", where)
-    if isinstance(value, (int, float)):
-        return float(value)
     if isinstance(value, str):
         try:
-            return float(Fraction(value))
+            value = Fraction(value)
         except (ValueError, ZeroDivisionError):
             _fail(f"malformed rational {value!r}", where)
+    if isinstance(value, (int, float, Fraction)):
+        try:
+            return float(value)
+        except OverflowError:
+            _fail("number is too large for a float", where)
     _fail("expected a number", where)
 
 
@@ -201,7 +209,7 @@ def parse_scenario(obj, exact=False) -> Scenario:
         _fail("expect must be a boolean", "$.expect")
     if exact and geometry != EUCLIDEAN:
         _fail("exact mode supports euclidean scenarios only; spherical and "
-              "hyperbolic verification needs transcendental functions", "$.geometry")
+              "hyperbolic points are normalized in floating point", "$.geometry")
 
     if kind == "shapes":
         if geometry != EUCLIDEAN:
@@ -292,6 +300,11 @@ def _hyperplane_to_object(plane):
     return {"normal": _encode_point(plane.normal)}
 
 
+def edge_point_verifier(geometry):
+    """menelaus_products for E^n, verify_prop2 for S^n and H^n."""
+    return menelaus_products if geometry == EUCLIDEAN else verify_prop2
+
+
 def verify_scenario(scenario: Scenario, tol: Tolerance = DEFAULT_TOLERANCE):
     """Dispatch to the right verifier and assemble the report object."""
     start = time.perf_counter()
@@ -315,22 +328,8 @@ def verify_scenario(scenario: Scenario, tol: Tolerance = DEFAULT_TOLERANCE):
         report["degenerate"] = res.degenerate
         report["span_dim"] = res.span_dim
         echo = scenario_to_object(config, expect=scenario.expect)
-    elif scenario.geometry == EUCLIDEAN:
-        res = menelaus_products(scenario.payload, tol)
-        report["verdict"] = res.verdict
-        report["ratios"] = [
-            {"pair": list(pair), "value": encode_number(res.lambdas[pair])}
-            for pair in sorted(res.lambdas)
-        ]
-        report["triple_products"] = [
-            {"triple": list(t), "residual": encode_number(res.triple_residuals[t])}
-            for t in sorted(res.triple_residuals)
-        ]
-        report["hyperplane"] = _hyperplane_to_object(res.hyperplane)
-        report["hyperplane_residual"] = encode_number(res.hyperplane_residual)
-        echo = scenario_to_object(scenario.payload, expect=scenario.expect)
     else:
-        res = verify_prop2(scenario.payload, tol)
+        res = edge_point_verifier(scenario.geometry)(scenario.payload, tol)
         report["verdict"] = res.verdict
         report["ratios"] = [
             {"pair": list(pair), "value": encode_number(res.lambdas[pair])}
@@ -348,14 +347,13 @@ def verify_scenario(scenario: Scenario, tol: Tolerance = DEFAULT_TOLERANCE):
     return report
 
 
-def atomic_write_json(path, obj):
-    """Write JSON via a temp file and rename, so no partial file survives."""
+def atomic_write_text(path, text):
+    """Write text via a temp file and rename, so no partial file survives."""
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
         with os.fdopen(fd, "w") as fh:
-            json.dump(obj, fh, indent=2)
-            fh.write("\n")
+            fh.write(text)
         os.replace(tmp, path)
     except BaseException:
         try:
@@ -363,3 +361,8 @@ def atomic_write_json(path, obj):
         except OSError:
             pass
         raise
+
+
+def atomic_write_json(path, obj):
+    """Write ``obj`` as indented JSON plus a newline, atomically."""
+    atomic_write_text(path, json.dumps(obj, indent=2) + "\n")

@@ -279,3 +279,36 @@ def test_console_entry_point(tmp_path):
         capture_output=True, text=True,
     )
     assert proc.returncode == 2
+
+
+def test_generate_vertex_sets_dim_12(tmp_path):
+    out = tmp_path / "v12"
+    assert main(["generate", "--dim", "12", "--kind", "vertex_sets", "--count", "1",
+                 "--seed", "0", "--out", str(out)]) == 0
+    assert main(["verify", "--input", str(out / "scenario-0-0.json"),
+                 "--output", str(tmp_path / "r.json")]) == 0
+
+
+@pytest.mark.parametrize("obj,where", [
+    ({**THREE_CIRCLES, "shapes": [
+        {"type": "ball", "center": [0, 0], "radius": float("nan")},
+        *THREE_CIRCLES["shapes"][1:],
+    ]}, "$.shapes[0].radius"),
+    ({"geometry": "euclidean", "dimension": 2, "kind": "edge_points",
+      "vertices": [[0, 0], [4, 0], [0, 4]],
+      "edge_points": [
+          {"pair": [1, 2], "point": [-4, 0]},
+          {"pair": [1, 3], "point": [0, float("inf")]},
+          {"pair": [2, 3], "point": [8, -4]},
+      ]}, "$.edge_points[1].point[1]"),
+    ({**THREE_CIRCLES, "shapes": [
+        *THREE_CIRCLES["shapes"][:2],
+        {"type": "ball", "center": [0, 6], "radius": 10 ** 400},
+    ]}, "$.shapes[2].radius"),
+])
+def test_unrepresentable_numbers_rejected_with_path(tmp_path, capsys, obj, where):
+    src = write_scenario(tmp_path / "s.json", obj)
+    assert main(["verify", "--input", src]) == 2
+    err = json.loads(capsys.readouterr().out)["error"]
+    assert err["code"] == "ScenarioError"
+    assert err["where"] == where

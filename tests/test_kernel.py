@@ -1,4 +1,3 @@
-import math
 from fractions import Fraction
 
 import numpy as np
@@ -11,18 +10,15 @@ from mongekit.errors import (
     DegenerateConfiguration,
     DimensionMismatch,
     InvalidInput,
-    NearParallel,
     NonCoplanar,
 )
 from mongekit.kernel import (
-    DEFAULT_TOLERANCE,
     Hyperplane,
     Tolerance,
     affine_span_dim,
     affinely_independent,
     fit_hyperplane,
     is_exact,
-    line_hyperplane_intersection,
     rank,
 )
 
@@ -153,40 +149,6 @@ def test_fit_recovers_random_planar_points(seed, n, extra):
     ncanon = np.asarray(plane.normal, dtype=float)
     cos = abs(ncanon @ normal) / (np.linalg.norm(ncanon) * np.linalg.norm(normal))
     assert cos == pytest.approx(1.0, abs=1e-8)
-
-
-def test_line_hyperplane_intersection():
-    plane = Hyperplane.build((1.0, 2.0), 18.0)
-    hit = line_hyperplane_intersection((0.0, 0.0), (0.0, 1.0), plane)
-    assert hit == pytest.approx((0.0, 9.0))
-    with pytest.raises(NearParallel):
-        line_hyperplane_intersection((0.0, 0.0), (2.0, -1.0), plane)
-
-
-def test_line_hyperplane_intersection_exact():
-    plane = Hyperplane.build((Fraction(1), Fraction(2)), Fraction(18))
-    hit = line_hyperplane_intersection((Fraction(0), Fraction(0)), (Fraction(0), Fraction(1)), plane)
-    assert hit == (Fraction(0), Fraction(9))
-    with pytest.raises(NearParallel):
-        line_hyperplane_intersection((Fraction(0), Fraction(0)), (Fraction(2), Fraction(-1)), plane)
-
-
-@given(st.integers(0, 10_000), st.integers(2, 4))
-@settings(max_examples=40)
-def test_intersection_point_lies_on_plane(seed, n):
-    rng = np.random.default_rng(seed)
-    normal = rng.uniform(-3, 3, size=n)
-    if np.linalg.norm(normal) < 0.3:
-        normal[0] += 1.0
-    plane = Hyperplane.build(tuple(normal), float(rng.uniform(-5, 5)))
-    p = tuple(rng.uniform(-10, 10, size=n))
-    q = tuple(rng.uniform(-10, 10, size=n))
-    try:
-        hit = line_hyperplane_intersection(p, q, plane)
-    except (NearParallel, InvalidInput):
-        return
-    scale = max(1.0, float(np.linalg.norm(hit)))
-    assert plane.distance(hit) <= DEFAULT_TOLERANCE.scaled(scale)
 
 
 def test_hyperplane_normalization_conventions():

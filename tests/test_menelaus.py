@@ -11,12 +11,15 @@ from mongekit.errors import (
     DegenerateConfiguration,
     EqualWeights,
     InvalidInput,
+    NonCoplanar,
     NotOnLine,
+    NotSpacelike,
 )
 from mongekit.kernel import Tolerance
 from mongekit.menelaus import (
     EdgePointSet,
     Homothety,
+    _menelaus_report,
     all_pairs,
     edge_points_from_weights,
     menelaus_products,
@@ -71,6 +74,44 @@ def test_signed_ratio_homothety_roundtrip(seed):
         return
     got = signed_ratio(a_i, a_j, center)
     assert got == pytest.approx(lam, rel=1e-9, abs=1e-9)
+
+
+def test_each_ratio_computed_once(monkeypatch):
+    import mongekit.menelaus as menelaus
+
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(kwargs.get("pair"))
+        return signed_ratio(*args, **kwargs)
+
+    monkeypatch.setattr(menelaus, "signed_ratio", counting)
+    for n in (2, 4):
+        vertices = ((0.0,) * n,) + tuple(
+            tuple(float(k == m) for k in range(n)) for m in range(n)
+        )
+        eps = edge_points_from_weights(vertices, tuple(float(2 ** k) for k in range(n + 1)))
+        calls.clear()
+        assert menelaus_products(eps).verdict
+        assert len(calls) == n * (n + 1) // 2
+        assert sorted(calls) == all_pairs(n + 1)
+
+
+@pytest.mark.parametrize("error,residual,verdict", [
+    (DegenerateConfiguration, 0, True),  # spanning less than a hyperplane is coplanar
+    (NonCoplanar, None, False),
+    (NotSpacelike, None, False),
+])
+def test_fit_failure_policy(error, residual, verdict):
+    def fit(points, tol):
+        raise error("no hyperplane fitted")
+
+    lambdas = {(1, 2): 2.0, (1, 3): 4.0, (2, 3): 2.0}
+    report = _menelaus_report(lambdas, [], fit, Tolerance())
+    assert report.triple_residuals == {(1, 2, 3): 0.0}
+    assert report.hyperplane is None
+    assert report.hyperplane_residual == residual
+    assert report.verdict is verdict
 
 
 def test_weight_construction_small_triangle():
@@ -185,7 +226,8 @@ def test_weight_construction_verifies_and_perturbation_flips(seed, n):
         assert lam == pytest.approx(weights[i - 1] / weights[j - 1], rel=1e-9)
     ref = monge_hyperplane_from_weights(vertices, weights)
     got = np.asarray(report.hyperplane.normal, dtype=float)
-    want = np.asarray(ref.as_float().normal, dtype=float)
+    want = np.asarray(ref.normal, dtype=float)
+    want = want / want[np.argmax(np.abs(want))]
     assert np.allclose(got, want, atol=1e-8)
     # move one edge point along its line by 1e-3 of the edge length
     pairs = all_pairs(n + 1)

@@ -22,8 +22,6 @@ from mongekit.noneuclid import (
     arc_contains,
     geodesic_distance,
     hyperboloid_point,
-    lambda_from_distances,
-    lambda_from_span,
     sphere_point,
     verify_prop2,
     xn_edge_points_from_weights,
@@ -148,7 +146,6 @@ def test_lambda_sphere_examples():
     assert xn_lambda(E1, E2, far) == pytest.approx(1.0, abs=1e-12)
     b = sphere_point((-2.0, 1.0, 0.0) / np.sqrt(5))
     assert xn_lambda(E1, E2, b) == pytest.approx(0.5, abs=1e-12)
-    assert lambda_from_distances(E1, E2, b) == pytest.approx(0.5, abs=1e-12)
 
 
 def test_lambda_hyperbolic_example():
@@ -157,7 +154,6 @@ def test_lambda_hyperbolic_example():
     lam = xn_lambda(a_i, a_j, b)
     assert lam == pytest.approx(math.sinh(2.0) / math.sinh(1.0), rel=1e-12)
     assert lam == pytest.approx(3.0861612696304874, rel=1e-10)
-    assert lambda_from_span(a_i, a_j, b) == pytest.approx(lam, rel=1e-10)
 
 
 def test_lambda_errors():
@@ -173,6 +169,12 @@ def test_lambda_errors():
     antipode = sphere_point((-1.0, 0.0, 0.0))
     with pytest.raises(AntipodalPoints):
         xn_lambda(E1, antipode, E2)
+    # b = -a_j has no a_i component
+    with pytest.raises(NotOnLine):
+        xn_lambda(E1, E2, sphere_point((0.0, -1.0, 0.0)))
+    with pytest.raises(DimensionMismatch) as err:
+        xn_lambda(E1, E2, sphere_point((0.0, 0.0, 0.0, 1.0)), pair=(1, 2))
+    assert err.value.pair == (1, 2)
 
 
 def test_weight_construction_sphere_golden():
@@ -272,17 +274,13 @@ def test_config_validation():
 @settings(max_examples=60, deadline=None)
 @given(st.integers(0, 10_000))
 def test_span_and_distance_ratios_agree(seed):
+    # the span-based xn_lambda agrees with the distance closed forms for
+    # a_j at distance d and b at distance t > d from a_i along one geodesic
     rng = np.random.default_rng(seed)
     a_i, a_j, b, d, t = sphere_triple(rng)
-    expected = math.sin(t) / math.sin(t - d)
-    assert lambda_from_span(a_i, a_j, b) == pytest.approx(expected, rel=1e-9)
-    assert lambda_from_distances(a_i, a_j, b) == pytest.approx(expected, rel=1e-9)
-    assert xn_lambda(a_i, a_j, b) == pytest.approx(expected, rel=1e-9)
+    assert xn_lambda(a_i, a_j, b) == pytest.approx(math.sin(t) / math.sin(t - d), rel=1e-9)
     a_i, a_j, b, d, t = hyperbolic_triple(rng)
-    expected = math.sinh(t) / math.sinh(t - d)
-    assert lambda_from_span(a_i, a_j, b) == pytest.approx(expected, rel=1e-9)
-    assert lambda_from_distances(a_i, a_j, b) == pytest.approx(expected, rel=1e-9)
-    assert xn_lambda(a_i, a_j, b) == pytest.approx(expected, rel=1e-9)
+    assert xn_lambda(a_i, a_j, b) == pytest.approx(math.sinh(t) / math.sinh(t - d), rel=1e-9)
 
 
 @settings(max_examples=40, deadline=None)
