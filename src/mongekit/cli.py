@@ -7,9 +7,11 @@ positive-plus-negative property sweep over a dimension range, and
 
 Exit codes: 0 success (verify: verdict matched the expectation, or was
 true when the file carries none), 1 verdict mismatch, 2 bad input of any
-kind.  Errors are reported as one JSON object on stdout so harnesses can
-parse them.  The default tolerance is 1e-9, overridable per-call with
---tolerance or globally with the MONGE_TOLERANCE environment variable.
+kind, 3 internal error (an unexpected exception, that is a bug in
+mongekit; its error code is "InternalError").  Errors are reported as one
+JSON object on stdout so harnesses can parse them.  The default tolerance
+is 1e-9, overridable per-call with --tolerance or globally with the
+MONGE_TOLERANCE environment variable.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ import argparse
 import json
 import os
 import sys
+import traceback
 
 from .errors import GeometryError, ScenarioError
 from .figure import render_figure
@@ -260,6 +263,10 @@ def main(argv=None):
     except OSError as e:
         _emit_error({"code": "IOError", "message": str(e)})
         return 2
+    except Exception as e:  # a bug, not bad input: never exit 1 ("mismatch")
+        traceback.print_exc()
+        _emit_error({"code": "InternalError", "message": f"{type(e).__name__}: {e}"})
+        return 3
 
 
 if __name__ == "__main__":

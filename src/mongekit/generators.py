@@ -89,10 +89,7 @@ class SplitMix64:
 
     def next_u64(self):
         self.state = (self.state + self.GAMMA) & MASK64
-        z = self.state
-        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & MASK64
-        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & MASK64
-        return z ^ (z >> 31)
+        return _mix(self.state)
 
     def random(self):
         return (self.next_u64() >> 11) * 2.0 ** -53
@@ -125,13 +122,21 @@ class SplitMix64:
         return math.sqrt(-2.0 * math.log(u1)) * math.cos(2.0 * math.pi * u2)
 
 
+def _mix(z):
+    """The two xor-shift-multiply rounds of SplitMix64's output function."""
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & MASK64
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & MASK64
+    return z ^ (z >> 31)
+
+
 def _child_rng(seed, index):
-    """Stream for the index-th scenario of a batch rooted at seed."""
-    root = SplitMix64(seed)
-    child = 0
-    for _ in range(index + 1):
-        child = root.next_u64()
-    return SplitMix64(child)
+    """Stream for the index-th scenario of a batch rooted at seed.
+
+    Its seed is draw index+1 of the root stream.  After k steps the root
+    state is seed + k * GAMMA (mod 2^64), so that draw is computed directly,
+    in O(1) rather than by walking the stream.
+    """
+    return SplitMix64(_mix((int(seed) + (index + 1) * SplitMix64.GAMMA) & MASK64))
 
 
 @dataclass(frozen=True)

@@ -2,9 +2,14 @@
 
 Every public operation accepts point rows whose entries are either all
 floats (approximate backend, numpy based) or all ints/Fractions (exact
-backend, stdlib Fraction based).  Mixing a Fraction with a float in one
-input is rejected rather than silently coerced.  Tolerances only apply
-to the approximate backend; the exact backend compares against zero.
+backend).  Mixing a Fraction with a float in one input is rejected rather
+than silently coerced.  Tolerances only apply to the approximate backend;
+the exact backend compares against zero.
+
+Exact elimination runs on integers: each rational row is scaled by the
+lcm of its denominators and reduced by fraction-free (Bareiss)
+elimination, so rank, null space, solve and hyperplane fit never add or
+multiply Fractions.  Fractions are built only for the values handed back.
 """
 
 from __future__ import annotations
@@ -99,14 +104,6 @@ def _as_float_rows(rows):
     return a
 
 
-def _as_fraction_rows(rows):
-    out = [[Fraction(x) for x in r] for r in rows]
-    width = {len(r) for r in out}
-    if len(width) > 1:
-        raise DimensionMismatch("rows have inconsistent lengths")
-    return out
-
-
 def _check_rect(rows):
     lens = {len(r) for r in rows}
     if len(lens) > 1:
@@ -114,31 +111,46 @@ def _check_rect(rows):
 
 
 # ----------------------------------------------------------------------
-# exact (Fraction) elimination helpers
+# exact elimination: fraction-free, on integer rows
 
-def _exact_echelon(rows):
-    """Row-reduce a copy of ``rows``; returns (echelon, pivot_cols)."""
-    m = [list(r) for r in rows]
+def _cleared(row):
+    """(ints, den): integers and the positive lcm den of the denominators of
+    ``row``, so that row == ints / den entry by entry."""
+    fr = [x if isinstance(x, (int, Fraction)) else Fraction(x) for x in row]
+    den = math.lcm(*(f.denominator for f in fr))
+    return [f.numerator * (den // f.denominator) for f in fr], den
+
+
+def _integer_echelon(rows):
+    """Fraction-free row echelon form of rational ``rows``: (echelon, pivot_cols).
+
+    Each row is first scaled by the lcm of its denominators, which changes
+    neither rank nor null space.  Bareiss elimination then keeps every
+    entry an integer: after a pivot step each entry below the pivot row is
+    a minor of the cleared matrix, so the division by the previous pivot is
+    exact (Bareiss, Math. Comp. 22, 1968).
+    """
+    m = [_cleared(r)[0] for r in rows]
     if not m:
         return m, []
     ncols = len(m[0])
     pivots = []
+    prev = 1
     r = 0
     for c in range(ncols):
-        pivot = None
-        for k in range(r, len(m)):
-            if m[k][c] != 0:
-                pivot = k
-                break
+        pivot = next((k for k in range(r, len(m)) if m[k][c]), None)
         if pivot is None:
             continue
         m[r], m[pivot] = m[pivot], m[r]
-        pv = m[r][c]
-        m[r] = [x / pv for x in m[r]]
-        for k in range(len(m)):
-            if k != r and m[k][c] != 0:
-                f = m[k][c]
-                m[k] = [a - f * b for a, b in zip(m[k], m[r])]
+        top = m[r]
+        pv = top[c]
+        tail = top[c + 1:]
+        for k in range(r + 1, len(m)):
+            row, f = m[k], m[k][c]
+            m[k] = row[:c] + [0] + [
+                (pv * a - f * b) // prev for a, b in zip(row[c + 1:], tail)
+            ]
+        prev = pv
         pivots.append(c)
         r += 1
         if r == len(m):
@@ -146,24 +158,34 @@ def _exact_echelon(rows):
     return m, pivots
 
 
-def _exact_rank(rows):
-    _, pivots = _exact_echelon(rows)
-    return len(pivots)
+def _null_vector(echelon, pivots, free):
+    """Integer x with echelon @ x = 0, x[free] != 0 and x = 0 on every
+    other non-pivot column (back-substitution, bottom row first)."""
+    ncols = len(echelon[0])
+    x = [0] * ncols
+    x[free] = 1
+    for r in reversed(range(len(pivots))):
+        pc, row = pivots[r], echelon[r]
+        t = -sum(row[j] * x[j] for j in range(pc + 1, ncols))
+        g = math.gcd(t, row[pc])
+        scale = row[pc] // g
+        if scale != 1:
+            x = [v * scale for v in x]
+        x[pc] = t // g
+    return x
 
 
 def _exact_nullspace(rows, ncols):
-    """Basis of {x : rows @ x = 0} as Fraction tuples (RREF back-substitution)."""
+    """Basis of {x : rows @ x = 0} as Fraction tuples, one per free column,
+    with 1 in that column and 0 in the other free columns."""
     if not rows:
         return [tuple(Fraction(int(i == j)) for i in range(ncols)) for j in range(ncols)]
-    red, pivots = _exact_echelon(rows)
-    free = [c for c in range(ncols) if c not in pivots]
+    echelon, pivots = _integer_echelon(rows)
     basis = []
-    for fc in free:
-        vec = [Fraction(0)] * ncols
-        vec[fc] = Fraction(1)
-        for r, pc in enumerate(pivots):
-            vec[pc] = -red[r][fc]
-        basis.append(tuple(vec))
+    for fc in range(ncols):
+        if fc not in pivots:
+            x = _null_vector(echelon, pivots, fc)
+            basis.append(tuple(Fraction(v, x[fc]) for v in x))
     return basis
 
 
@@ -174,18 +196,21 @@ def _exact_solve(a_rows, rhs):
     DegenerateConfiguration when the solution is not unique.
     """
     ncols = len(a_rows[0]) if a_rows else 0
-    aug = [list(r) + [b] for r, b in zip(a_rows, rhs)]
-    red, pivots = _exact_echelon(aug)
+    echelon, pivots = _integer_echelon([list(r) + [b] for r, b in zip(a_rows, rhs)])
     if ncols in pivots:
         return None  # pivot in the rhs column: inconsistent
     if len(pivots) < ncols:
         raise DegenerateConfiguration(
             "linear system is underdetermined", span_dim=len(pivots)
         )
-    x = [Fraction(0)] * ncols
-    for r, pc in enumerate(pivots):
-        x[pc] = red[r][ncols]
-    return tuple(x)
+    # [a | rhs] @ (x, -1) = 0: the null vector of the rhs column, rescaled
+    x = _null_vector(echelon, pivots, ncols)
+    return tuple(Fraction(v, -x[ncols]) for v in x[:ncols])
+
+
+def _homogeneous_echelon(points):
+    """Echelon of the rows (p, 1): its rank is the affine span dimension + 1."""
+    return _integer_echelon([list(p) + [1] for p in points])
 
 
 # ----------------------------------------------------------------------
@@ -212,7 +237,7 @@ def rank(rows, tol: Tolerance = DEFAULT_TOLERANCE) -> int:
         return 0
     _check_rect(rows)
     if is_exact(rows):
-        return _exact_rank(_as_fraction_rows(rows))
+        return len(_integer_echelon(rows)[1])
     return _float_rank(_as_float_rows(rows), tol)
 
 
@@ -223,10 +248,7 @@ def affine_span_dim(points, tol: Tolerance = DEFAULT_TOLERANCE) -> int:
         raise InvalidInput("need at least one point")
     _check_rect(pts)
     if is_exact(pts):
-        rows = _as_fraction_rows(pts)
-        base = rows[0]
-        diffs = [[x - b for x, b in zip(r, base)] for r in rows[1:]]
-        return _exact_rank(diffs) if diffs else 0
+        return len(_homogeneous_echelon(pts)[1]) - 1
     a = _as_float_rows(pts)
     if a.shape[0] == 1:
         return 0
@@ -321,20 +343,20 @@ def _bbox_diameter(a: np.ndarray) -> float:
     return float(np.linalg.norm(a.max(axis=0) - a.min(axis=0)))
 
 
-def _fit_exact(rows):
-    base = rows[0]
-    diffs = [[x - b for x, b in zip(r, base)] for r in rows[1:]]
-    n = len(base)
-    r = _exact_rank(diffs)
+def _fit_exact(pts):
+    n = len(pts[0])
+    echelon, pivots = _homogeneous_echelon(pts)
+    r = len(pivots) - 1
     if r == n:
         raise NonCoplanar("points do not lie in a common hyperplane")
     if r < n - 1:
         raise DegenerateConfiguration(
             f"points span affine dimension {r} < {n - 1}", span_dim=r
         )
-    normal = _exact_nullspace(diffs, n)[0]
-    offset = sum(a * x for a, x in zip(normal, base))
-    return Hyperplane.build(normal, offset), Fraction(0)
+    # (p, 1) @ (normal, -offset) = 0 for every point p
+    free = next(c for c in range(n + 1) if c not in pivots)
+    u = _null_vector(echelon, pivots, free)
+    return Hyperplane.build(u[:n], -u[n]), Fraction(0)
 
 
 def _fit_float(a: np.ndarray, tol: Tolerance):
@@ -384,5 +406,5 @@ def fit_hyperplane(points, tol: Tolerance = DEFAULT_TOLERANCE):
     if len(pts) < n:
         raise DimensionMismatch(f"need at least {n} points in dimension {n}")
     if is_exact(pts):
-        return _fit_exact(_as_fraction_rows(pts))
+        return _fit_exact(pts)
     return _fit_float(_as_float_rows(pts), tol)

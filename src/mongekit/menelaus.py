@@ -32,6 +32,7 @@ from .kernel import (
     DEFAULT_TOLERANCE,
     Hyperplane,
     Tolerance,
+    _cleared,
     _exact_solve,
     affinely_independent,
     fit_hyperplane,
@@ -141,20 +142,19 @@ def signed_ratio(a_i, a_j, b, tol: Tolerance = DEFAULT_TOLERANCE, pair=None):
     if len(a_i) != len(a_j) or len(a_i) != len(b):
         raise DimensionMismatch("points must share one dimension", pair=pair)
     if is_exact([list(a_i), list(a_j), list(b)]):
-        ai = [Fraction(x) for x in a_i]
-        aj = [Fraction(x) for x in a_j]
-        bb = [Fraction(x) for x in b]
-        d1 = [x - y for x, y in zip(ai, bb)]
-        d2 = [x - y for x, y in zip(aj, bb)]
-        if all(x == 0 for x in d2) or all(x == 0 for x in d1):
+        # with a = A / L_a (integer A, L_a > 0): a_i - b = D1 / (L_i L_b) and
+        # a_j - b = D2 / (L_j L_b), so lambda = (D1 . D2) L_j / ((D2 . D2) L_i)
+        (ai, li), (aj, lj), (bb, lb) = _cleared(a_i), _cleared(a_j), _cleared(b)
+        d1 = [x * lb - y * li for x, y in zip(ai, bb)]
+        d2 = [x * lb - y * lj for x, y in zip(aj, bb)]
+        if not any(d2) or not any(d1):
             raise CoincidesWithVertex("edge point equals a vertex", pair=pair)
-        for p in range(len(d1)):
-            for q in range(p + 1, len(d1)):
-                if d1[p] * d2[q] != d1[q] * d2[p]:
-                    raise NotOnLine("point is off the vertex line", pair=pair)
+        p = next(k for k, x in enumerate(d2) if x)
+        if any(x * d2[p] != d1[p] * y for x, y in zip(d1, d2)):
+            raise NotOnLine("point is off the vertex line", pair=pair)
         num = sum(x * y for x, y in zip(d1, d2))
         den = sum(x * x for x in d2)
-        return num / den
+        return Fraction(num * lj, den * li)
     ai = np.asarray([float(x) for x in a_i])
     aj = np.asarray([float(x) for x in a_j])
     bb = np.asarray([float(x) for x in b])
@@ -208,9 +208,10 @@ def _menelaus_report(lambdas, points, fit, tol: Tolerance, exact=False) -> Menel
 
 def menelaus_products(eps: EdgePointSet, tol: Tolerance = DEFAULT_TOLERANCE) -> MenelausReport:
     """Evaluate the signed triple products and the hyperplane fit in E^n."""
-    lambdas = eps.validate(tol)
     points = [eps.edge_points[p] for p in sorted(eps.edge_points)]
-    exact = is_exact([list(v) for v in eps.vertices])
+    # the one backend choice for the set: a Fraction among floats fails here
+    exact = is_exact([list(p) for p in (*eps.vertices, *points)])
+    lambdas = eps.validate(tol)
     return _menelaus_report(lambdas, points, fit_hyperplane, tol, exact)
 
 

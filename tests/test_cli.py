@@ -4,6 +4,7 @@ import sys
 
 import pytest
 
+from mongekit import cli
 from mongekit.cli import main
 
 
@@ -52,6 +53,18 @@ def test_verify_error_object_on_stdout(tmp_path, capsys):
     err = json.loads(capsys.readouterr().out)["error"]
     assert err["code"] == "ScenarioError"
     assert err["where"] == "$.dimension"
+
+
+def test_internal_error_exits_3(tmp_path, capsys, monkeypatch):
+    # a crash must not read as exit 1, which means "verdict mismatch"
+    def broken(scenario, tol):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(cli, "verify_scenario", broken)
+    src = write_scenario(tmp_path / "s.json", THREE_CIRCLES)
+    assert main(["verify", "--input", src]) == 3
+    err = json.loads(capsys.readouterr().out)["error"]
+    assert err == {"code": "InternalError", "message": "RuntimeError: boom"}
 
 
 def test_verify_missing_and_malformed_files(tmp_path, capsys):

@@ -7,6 +7,7 @@ from mongekit.errors import InvalidInput
 from mongekit.generators import (
     GenSpec,
     SplitMix64,
+    _child_rng,
     gen_ball_config,
     gen_menelaus_case,
     gen_rational_case,
@@ -47,6 +48,30 @@ def test_splitmix_draws():
     SplitMix64(5).shuffle(a)
     SplitMix64(5).shuffle(b)
     assert a == b and sorted(a) == items and a != items
+
+
+def test_child_stream_matches_walked_root():
+    # the child seed is draw index+1 of the root stream, computed directly
+    for seed in (0, 12345, 2**64 - 3):
+        root = SplitMix64(seed)
+        for index in range(65):
+            child = SplitMix64(root.next_u64())
+            got = _child_rng(seed, index)
+            assert got.state == child.state
+            assert got.next_u64() == child.next_u64()
+
+
+def test_child_stream_draws_nothing_from_root(monkeypatch):
+    calls = []
+    original = SplitMix64.next_u64
+
+    def counting(self):
+        calls.append(1)
+        return original(self)
+
+    monkeypatch.setattr(SplitMix64, "next_u64", counting)
+    _child_rng(7, 10**6)
+    assert calls == []
 
 
 def test_genspec_validation():

@@ -15,6 +15,8 @@ from mongekit.errors import (
 from mongekit.kernel import (
     Hyperplane,
     Tolerance,
+    _exact_nullspace,
+    _exact_solve,
     affine_span_dim,
     affinely_independent,
     fit_hyperplane,
@@ -90,6 +92,105 @@ def test_rank_backends_agree_on_rationals(rows, make_dependent):
     exact = rank(rows)
     approx = rank([[float(x) for x in r] for r in rows])
     assert exact == approx
+
+
+RATIONALS = st.fractions(min_value=-20, max_value=20, max_denominator=12)
+
+
+@st.composite
+def rank_r_matrices(draw):
+    """(rows, r): an m x k rational matrix B @ C whose rank is exactly r.
+
+    B = P [L; R] and C = [U | S] Q with L unit lower and U unit upper
+    triangular (r x r), P and Q permutations: the r x r block L @ U is
+    invertible, so the rank is r, and every entry is a dense rational.
+    """
+    m, k = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    r = draw(st.integers(1, min(m, k)))
+
+    def entries(count):
+        return draw(st.lists(RATIONALS, min_size=count, max_size=count))
+
+    def triangle(keep):
+        """Unit-diagonal r x r matrix with drawn entries where keep(i, j)."""
+        return [[v if keep(i, j) else Fraction(int(i == j)) for j, v in enumerate(entries(r))]
+                for i in range(r)]
+
+    low, up = triangle(lambda i, j: j < i), triangle(lambda i, j: j > i)
+    b = draw(st.permutations(low + [entries(r) for _ in range(m - r)]))
+    c_cols = draw(st.permutations(list(zip(*[u + entries(k - r) for u in up]))))
+    c = [list(row) for row in zip(*c_cols)]
+    rows = [[sum(bi[t] * c[t][j] for t in range(r)) for j in range(k)] for bi in b]
+    return rows, r
+
+
+def _times(rows, x):
+    return [sum(a * v for a, v in zip(row, x)) for row in rows]
+
+
+@given(rank_r_matrices())
+@settings(max_examples=50)
+def test_exact_rank_of_product(case):
+    rows, r = case
+    assert rank(rows) == r
+
+
+@given(rank_r_matrices())
+@settings(max_examples=50)
+def test_exact_nullspace_basis(case):
+    rows, r = case
+    ncols = len(rows[0])
+    basis = _exact_nullspace(rows, ncols)
+    assert len(basis) == ncols - r
+    for x in basis:
+        assert _times(rows, x) == [0] * len(rows)
+    # as from the reduced echelon form: 1 in its own free column, 0 in the
+    # others, where column c is free when it adds nothing to the rank
+    free = [c for c in range(ncols)
+            if rank([row[:c + 1] for row in rows]) == rank([row[:c] for row in rows])]
+    assert [[x[c] for c in free] for x in basis] == [
+        [int(i == j) for j in range(len(free))] for i in range(len(free))
+    ]
+
+
+@given(rank_r_matrices(), st.data())
+@settings(max_examples=50)
+def test_exact_solve_consistent_and_inconsistent(case, data):
+    rows, r = case
+    ncols = len(rows[0])
+    x0 = data.draw(st.lists(RATIONALS, min_size=ncols, max_size=ncols))
+    rhs = _times(rows, x0)
+    if r < ncols:
+        with pytest.raises(DegenerateConfiguration):
+            _exact_solve(rows, rhs)
+    else:
+        assert _exact_solve(rows, rhs) == tuple(x0)
+    # y @ rows = 0 for y in the left null space; adding y to rhs breaks consistency
+    left = _exact_nullspace([list(col) for col in zip(*rows)], len(rows))
+    if left:
+        assert _exact_solve(rows, [a + b for a, b in zip(rhs, left[0])]) is None
+
+
+@given(st.integers(2, 5), st.data())
+@settings(max_examples=60)
+def test_exact_fit_is_permutation_invariant(n, data):
+    normal = data.draw(st.lists(RATIONALS, min_size=n, max_size=n).filter(lambda v: v[0] != 0))
+    offset = data.draw(RATIONALS)
+    pts = []
+    for _ in range(data.draw(st.integers(n, n + 3))):
+        rest = data.draw(st.lists(RATIONALS, min_size=n - 1, max_size=n - 1))
+        head = (offset - sum(a * x for a, x in zip(normal[1:], rest))) / normal[0]
+        pts.append((head, *rest))
+    shuffled = data.draw(st.permutations(pts))
+    try:
+        plane, res = fit_hyperplane(pts)
+    except DegenerateConfiguration:
+        with pytest.raises(DegenerateConfiguration):
+            fit_hyperplane(shuffled)
+        return
+    assert res == 0
+    assert plane == Hyperplane.build(normal, offset)
+    assert fit_hyperplane(shuffled) == (plane, res)
 
 
 def test_affine_independence():

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mongekit.errors import (
+    BackendMixError,
     CoincidesWithVertex,
     DegenerateConfiguration,
     EqualWeights,
@@ -58,6 +59,33 @@ def test_signed_ratio_exact():
         signed_ratio(a, b, (Fraction(1, 2), Fraction(1, 1000000)))
 
 
+RATIONALS = st.fractions(min_value=-30, max_value=30, max_denominator=25)
+
+
+@given(
+    st.integers(1, 6).flatmap(
+        lambda n: st.tuples(*[st.lists(RATIONALS, min_size=n, max_size=n)] * 2)
+    ),
+    RATIONALS.filter(lambda lam: lam not in (0, 1)),
+)
+@settings(max_examples=60)
+def test_signed_ratio_exact_recovers_ratio(points, lam):
+    a_j, b = points
+    if a_j == b:
+        return
+    a_i = [y + lam * (x - y) for x, y in zip(a_j, b)]
+    assert signed_ratio(a_i, a_j, b) == lam
+    if len(b) > 1:
+        # a unit step along an axis other than the first the line moves along
+        p = next(k for k, (x, y) in enumerate(zip(a_j, b)) if x != y)
+        off = list(a_i)
+        off[(p + 1) % len(b)] += 1
+        with pytest.raises(NotOnLine):
+            signed_ratio(off, a_j, b)
+    with pytest.raises(CoincidesWithVertex):
+        signed_ratio(a_i, a_j, a_j)
+
+
 @given(st.integers(0, 100_000))
 @settings(max_examples=60)
 def test_signed_ratio_homothety_roundtrip(seed):
@@ -95,6 +123,32 @@ def test_each_ratio_computed_once(monkeypatch):
         assert menelaus_products(eps).verdict
         assert len(calls) == n * (n + 1) // 2
         assert sorted(calls) == all_pairs(n + 1)
+
+
+def test_backend_mix_raised_at_boundary(monkeypatch):
+    import mongekit.menelaus as menelaus
+
+    calls = []
+    monkeypatch.setattr(menelaus, "signed_ratio", lambda *a, **k: calls.append(1))
+    vertices = ((Fraction(0), Fraction(0)), (Fraction(1), Fraction(0)), (Fraction(0), Fraction(1)))
+    eps = edge_points_from_weights(vertices, (Fraction(1), Fraction(2), Fraction(3)))
+    points = dict(eps.edge_points)
+    points[(2, 3)] = tuple(float(x) for x in points[(2, 3)])
+    with pytest.raises(BackendMixError):
+        menelaus_products(EdgePointSet(vertices=vertices, edge_points=points))
+    assert calls == []  # decided once for the whole set, before any pair
+
+
+def test_integer_vertices_with_float_edge_points_use_tolerance():
+    # ints among floats select the float backend for the whole set, so the
+    # verdict is taken with the tolerance, not with exact zero thresholds
+    vertices = ((0, 0, 0), (3, 0, 0), (0, 5, 0), (0, 0, 7))
+    weights = (1.0, 1.7, 2.9, 4.3)
+    floats = tuple(tuple(float(x) for x in v) for v in vertices)
+    eps = edge_points_from_weights(floats, weights)
+    report = menelaus_products(EdgePointSet(vertices=vertices, edge_points=eps.edge_points))
+    assert max(report.triple_residuals.values()) > 0
+    assert report.verdict
 
 
 @pytest.mark.parametrize("error,residual,verdict", [
