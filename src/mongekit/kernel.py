@@ -62,38 +62,49 @@ class Tolerance:
 DEFAULT_TOLERANCE = Tolerance()
 
 
-def _iter_scalars(values):
+def _scalars(values, out):
+    """Append the scalars of nested lists, tuples and arrays to ``out``."""
     for v in values:
-        if isinstance(v, (list, tuple)):
-            yield from _iter_scalars(v)
+        t = type(v)
+        if t is float or t is int or t is Fraction:
+            out.append(v)
+        elif isinstance(v, (list, tuple)):
+            _scalars(v, out)
         elif isinstance(v, np.ndarray):
-            yield from _iter_scalars(v.tolist())
+            _scalars(v.tolist(), out)
         else:
-            yield v
+            out.append(v)
+    return out
 
 
 def is_exact(values) -> bool:
     """True when every scalar in ``values`` is an int or Fraction.
 
-    Raises BackendMixError when exact and float scalars are mixed.
+    Raises BackendMixError when Fraction and float scalars are mixed (ints
+    among floats are fine) and InvalidInput for a non-finite or non-real
+    scalar.
     """
-    saw_exact = False
-    saw_float = False
-    for v in _iter_scalars(values):
-        if isinstance(v, Fraction) or isinstance(v, numbers.Integral):
-            saw_exact = True
+    saw_float = saw_fraction = False
+    for v in _scalars(values, []):
+        t = type(v)
+        if t is float:
+            if not math.isfinite(v):
+                raise InvalidInput("coordinates must be finite")
+            saw_float = True
+        elif t is int:
+            continue
+        elif t is Fraction or isinstance(v, Fraction):
+            saw_fraction = True
+        elif isinstance(v, numbers.Integral):
+            continue
         elif isinstance(v, numbers.Real):
             if not math.isfinite(float(v)):
                 raise InvalidInput("coordinates must be finite")
             saw_float = True
         else:
             raise InvalidInput(f"unsupported scalar type {type(v).__name__}")
-    if saw_float and saw_exact:
-        # ints among floats are fine; only Fraction-with-float is a real mix
-        has_fraction = any(isinstance(v, Fraction) for v in _iter_scalars(values))
-        if has_fraction:
-            raise BackendMixError("cannot mix Fraction and float scalars in one input")
-        return False
+    if saw_float and saw_fraction:
+        raise BackendMixError("cannot mix Fraction and float scalars in one input")
     return not saw_float
 
 

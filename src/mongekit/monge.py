@@ -2,16 +2,18 @@
 
 Given n+1 pairwise homothetic shapes in E^n, indexed by strictly
 decreasing size, each pair (i, j) with i < j has a homothety with ratio
-above 1 taking shape j to shape i.  run_monge detects all n(n+1)/2
-centers and fits a hyperplane through them; for genuinely homothetic
-input families the fit succeeds with tiny residual.
+above 1 taking shape j to shape i.  MongeConfig.build finds that order:
+it detects the homothety from the first input shape to each other one,
+whatever its ratio, and sorts by those ratios, largest first (index 1 is
+the largest shape).  run_monge detects all n(n+1)/2 centers and fits a
+hyperplane through them; for genuinely homothetic input families the fit
+succeeds with tiny residual.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 
 import numpy as np
 
@@ -21,8 +23,8 @@ from .errors import (
     GeometryError,
     InvalidInput,
     NonCoplanar,
+    NotHomothetic,
     RatioNotGreaterThanOne,
-    UnboundedShape,
 )
 from .kernel import (
     DEFAULT_TOLERANCE,
@@ -33,7 +35,7 @@ from .kernel import (
     is_exact,
 )
 from .menelaus import all_pairs
-from .shapes import size_measure
+from .shapes import _homothety, detect_homothety
 
 __all__ = ["MongeConfig", "MongeReport", "run_monge"]
 
@@ -47,7 +49,14 @@ class MongeConfig:
 
     @classmethod
     def build(cls, shapes, tol: Tolerance = DEFAULT_TOLERANCE):
-        """Validate and size-sort the shapes (unbounded sets keep their order)."""
+        """Validate the shapes and order them by ratio, largest first.
+
+        The ratio of shape k is that of the homothety from the first input
+        shape onto it, so bounded and unbounded shapes order alike.  Errors
+        carry the input positions: (1, k) when shape k is not a homothet of
+        shape 1, (k, l) when shapes k and l have equal ratios (a translation
+        pair, RatioNotGreaterThanOne).
+        """
         shapes = tuple(shapes)
         if not shapes:
             raise InvalidInput("need at least one shape")
@@ -59,15 +68,31 @@ class MongeConfig:
         kinds = {s.kind for s in shapes}
         if len(kinds) > 1:
             raise InvalidInput("shapes must all have the same kind")
-        try:
-            sizes = [size_measure(s, tol) for s in shapes]
-        except UnboundedShape:
-            return cls(dimension=n, shapes=shapes)
-        for a, b in combinations(sizes, 2):
-            if a == b:
-                raise RatioNotGreaterThanOne("two shapes have equal size (translation pair)")
-        order = sorted(range(len(shapes)), key=lambda k: sizes[k], reverse=True)
+        ratios = [1]
+        for k in range(1, n + 1):
+            try:
+                ratio = _homothety(shapes[0], shapes[k], tol).ratio
+            except GeometryError as e:
+                raise _with_pair(e, (1, k + 1))
+            if ratio < 0:
+                raise NotHomothetic("no homothety with a positive ratio relates the shapes",
+                                    pair=(1, k + 1))
+            ratios.append(ratio)
+        order = sorted(range(n + 1), key=lambda k: ratios[k], reverse=True)
+        for a, b in zip(order, order[1:]):
+            gap = ratios[a] / ratios[b] - 1
+            if gap == 0 or (isinstance(gap, float) and gap <= tol.scaled(1.0)):
+                raise RatioNotGreaterThanOne("two shapes have equal size (translation pair)",
+                                             pair=tuple(sorted((a + 1, b + 1))))
         return cls(dimension=n, shapes=tuple(shapes[k] for k in order))
+
+
+def _with_pair(e: GeometryError, pair):
+    """``e`` tagged with the 1-based shape pair it concerns, unless it has one."""
+    if e.pair is None:
+        e.pair = pair
+        e.args = (f"pair {pair}: {e.args[0]}",) if e.args else (f"pair {pair}",)
+    return e
 
 
 @dataclass(frozen=True)
@@ -115,8 +140,6 @@ def run_monge(config: MongeConfig, tol: Tolerance = DEFAULT_TOLERANCE) -> MongeR
     than n-1 dimensions (then the report's degenerate flag is set and a
     canonical containing hyperplane is returned).
     """
-    from .shapes import detect_homothety  # local import avoids cycle at module load
-
     n = config.dimension
     centers = {}
     ratios = {}
@@ -124,10 +147,7 @@ def run_monge(config: MongeConfig, tol: Tolerance = DEFAULT_TOLERANCE) -> MongeR
         try:
             h = detect_homothety(config.shapes[j - 1], config.shapes[i - 1], tol)
         except GeometryError as e:
-            if e.pair is None:
-                e.pair = (i, j)
-                e.args = (f"pair {(i, j)}: {e.args[0]}",) if e.args else (f"pair {(i, j)}",)
-            raise
+            raise _with_pair(e, (i, j))
         centers[(i, j)] = h.center
         ratios[(i, j)] = h.ratio
     points = [centers[p] for p in sorted(centers)]

@@ -4,19 +4,29 @@ Three shape kinds are supported: Ball, VertexSet (a finite point cloud,
 usually polytope vertices) and HalfspaceSet (intersection of closed half
 spaces, possibly unbounded).  detect_homothety(src, dst) finds the unique
 homothety with ratio above 1 mapping src onto dst, or explains why there
-is none.  All shapes work on both scalar backends; half-space feasibility
-is probed with an LP on a float copy of the data.
+is none.  All shapes work on both scalar backends; each shape classifies
+its data (exact or float) once, on first use.  Half-space feasibility is
+probed with an LP on a float copy of the data.
+
+Every detection costs O(m) per pair beside the matching: a ball's ratio
+is its radius ratio, a vertex set's is the square root of its second
+moment ratio about the centroid, and a half-space set's comes from one
+linear solve over matched constraints.  MongeConfig.build orders a family
+by these ratios, so no separate size is needed; size_measure is kept as a
+public helper but is off the verify path.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from itertools import combinations
 
 import numpy as np
 from scipy.optimize import linprog
+from scipy.spatial import cKDTree
 
 from .errors import (
     DegenerateShape,
@@ -49,8 +59,15 @@ __all__ = [
 ]
 
 
+class _Shape:
+    @cached_property
+    def _exact(self):
+        """True for int/Fraction data; classified once, on first use."""
+        return is_exact(self._data())
+
+
 @dataclass(frozen=True)
-class Ball:
+class Ball(_Shape):
     center: tuple
     radius: object
 
@@ -63,21 +80,20 @@ class Ball:
     def dimension(self):
         return len(self.center)
 
+    def _data(self):
+        return [self.center, self.radius]
+
     kind = "ball"
 
 
 @dataclass(frozen=True)
-class VertexSet:
+class VertexSet(_Shape):
     """Finite set of points; duplicates are dropped on construction."""
 
     vertices: tuple
 
     def __post_init__(self):
-        seen = []
-        for v in self.vertices:
-            t = tuple(v)
-            if t not in seen:
-                seen.append(t)
+        seen = list(dict.fromkeys(tuple(v) for v in self.vertices))
         if not seen:
             raise InvalidInput("vertex set must be non-empty")
         if len({len(v) for v in seen}) > 1:
@@ -87,6 +103,14 @@ class VertexSet:
     @property
     def dimension(self):
         return len(self.vertices[0])
+
+    def _data(self):
+        return self.vertices
+
+    @cached_property
+    def _tree(self):
+        """KD-tree over the vertices as floats (``.data``, in vertex order)."""
+        return cKDTree(np.asarray(self.vertices, dtype=float))
 
     kind = "vertices"
 
@@ -122,7 +146,7 @@ class Halfspace:
 
 
 @dataclass(frozen=True)
-class HalfspaceSet:
+class HalfspaceSet(_Shape):
     constraints: tuple
 
     def __post_init__(self):
@@ -158,6 +182,9 @@ class HalfspaceSet:
     def dimension(self):
         return len(self.constraints[0].normal)
 
+    def _data(self):
+        return [(h.normal, h.offset) for h in self.constraints]
+
     kind = "halfspaces"
 
 
@@ -180,8 +207,8 @@ def _exact_sqrt(value: Fraction):
 
 def _vertexset_diameter(vs: VertexSet):
     if len(vs.vertices) == 1:
-        return 0 if is_exact([list(vs.vertices[0])]) else 0.0
-    if is_exact([list(v) for v in vs.vertices]):
+        return 0 if vs._exact else 0.0
+    if vs._exact:
         best = max(_sq_dist_exact(u, v) for u, v in combinations(vs.vertices, 2))
         root = _exact_sqrt(best)
         return root if root is not None else math.sqrt(float(best))
@@ -232,7 +259,10 @@ def size_measure(shape, tol: Tolerance = DEFAULT_TOLERANCE):
     """Radius for balls, diameter for vertex sets and bounded polytopes.
 
     Raises UnboundedShape when the half-space intersection is unbounded
-    and DegenerateShape when the extent is zero.
+    and DegenerateShape when the extent is zero.  Verification does not
+    call it: MongeConfig.build orders shapes by their detected homothety
+    ratios.  On half-space sets it solves 2n LPs and enumerates C(m, n)
+    vertex candidates; on vertex sets it takes an O(m^2) diameter.
     """
     if isinstance(shape, Ball):
         return shape.radius
@@ -257,88 +287,88 @@ def size_measure(shape, tol: Tolerance = DEFAULT_TOLERANCE):
 # ----------------------------------------------------------------------
 # homothety detection
 
-def _centroid(vertices, exact):
-    m = len(vertices)
-    if exact:
-        return tuple(sum(Fraction(v[k]) for v in vertices) / m for k in range(len(vertices[0])))
-    return tuple(float(sum(float(v[k]) for v in vertices)) / m for k in range(len(vertices[0])))
+def _exact_pair(src, dst):
+    """Backend of a shape pair: the shapes' own flags when they agree,
+    otherwise one walk over both (ints beside floats are float data, a
+    Fraction beside a float is a BackendMixError)."""
+    if src._exact == dst._exact:
+        return src._exact
+    return is_exact([src._data(), dst._data()])
 
 
 def _center_from_ratio(lam, c_from, c_to):
     return tuple((lam * a - b) / (lam - 1) for a, b in zip(c_from, c_to))
 
 
-def _hausdorff(a_pts, b_pts):
-    a = np.asarray(a_pts, dtype=float)
-    b = np.asarray(b_pts, dtype=float)
-    d = np.linalg.norm(a[:, None, :] - b[None, :, :], axis=2)
-    return max(float(d.min(axis=1).max()), float(d.min(axis=0).max()))
-
-
-def _detect_ball(src: Ball, dst: Ball, tol: Tolerance) -> Homothety:
-    exact = is_exact([list(src.center), src.radius, list(dst.center), dst.radius])
+def _ball_map(src: Ball, dst: Ball, tol: Tolerance, exact: bool) -> Homothety:
     if exact:
         lam = Fraction(dst.radius) / Fraction(src.radius)
         if lam == 1:
             raise RatioNotGreaterThanOne("equal radii give a translation, not a homothety")
-        if lam < 1:
-            raise RatioNotGreaterThanOne("target ball is smaller than source")
         center = _center_from_ratio(lam, [Fraction(x) for x in src.center],
                                     [Fraction(x) for x in dst.center])
         return Homothety(center=center, ratio=lam)
     lam = float(dst.radius) / float(src.radius)
     if abs(lam - 1.0) <= tol.scaled(1.0):
         raise RatioNotGreaterThanOne("equal radii give a translation, not a homothety")
-    if lam < 1.0:
-        raise RatioNotGreaterThanOne("target ball is smaller than source")
     center = _center_from_ratio(lam, [float(x) for x in src.center],
                                 [float(x) for x in dst.center])
     return Homothety(center=center, ratio=lam)
 
 
-def _detect_vertexset(src: VertexSet, dst: VertexSet, tol: Tolerance) -> Homothety:
+def _moments_exact(vertices):
+    """Centroid and second moment sum |v - g|^2 about it, in Fractions."""
+    m = len(vertices)
+    g = tuple(sum(Fraction(v[k]) for v in vertices) / m for k in range(len(vertices[0])))
+    return g, sum(sum((Fraction(x) - c) ** 2 for x, c in zip(v, g)) for v in vertices)
+
+
+def _vertexset_map(src: VertexSet, dst: VertexSet, tol: Tolerance, exact: bool) -> Homothety:
+    # a homothety with ratio lam moves the centroid with the set and scales
+    # the second moment about it by lam^2; the vertices must then map
     if len(src.vertices) != len(dst.vertices):
         raise NotHomothetic("vertex counts differ")
-    exact = is_exact([list(v) for v in src.vertices] + [list(v) for v in dst.vertices])
-    d_from = _vertexset_diameter(src)
-    d_to = _vertexset_diameter(dst)
-    if d_from == 0 or d_to == 0:
-        raise DegenerateShape("vertex set has zero diameter")
     if exact:
-        ratio_sq = _sq_diameter_exact(dst) / _sq_diameter_exact(src)
-        lam = _exact_sqrt(ratio_sq)
+        g_from, m_from = _moments_exact(src.vertices)
+        g_to, m_to = _moments_exact(dst.vertices)
+        if m_from == 0 or m_to == 0:
+            raise DegenerateShape("vertex set has zero diameter")
+        lam = _exact_sqrt(m_to / m_from)
         if lam is None:
-            raise NotHomothetic("squared diameter ratio is not a rational square")
+            raise NotHomothetic("second-moment ratio is not a rational square")
         if lam == 1:
             raise RatioNotGreaterThanOne("equal diameters give a translation")
-        if lam < 1:
-            raise RatioNotGreaterThanOne("target vertex set is smaller than source")
-        g_from = _centroid(src.vertices, True)
-        g_to = _centroid(dst.vertices, True)
-        center = _center_from_ratio(lam, g_from, g_to)
-        h = Homothety(center=center, ratio=lam)
+        h = Homothety(center=_center_from_ratio(lam, g_from, g_to), ratio=lam)
         image = {h.apply(v) for v in src.vertices}
         target = {tuple(Fraction(x) for x in v) for v in dst.vertices}
         if image != target:
-            raise NotHomothetic("centroid and diameter agree but vertices do not map")
+            raise NotHomothetic("centroid and second moment agree but vertices do not map")
         return h
-    lam = float(d_to) / float(d_from)
+    pts_from = src._tree.data
+    pts_to = dst._tree.data
+    g_from = pts_from.mean(axis=0)
+    g_to = pts_to.mean(axis=0)
+    m_from = float(np.square(pts_from - g_from).sum())
+    dev_to = np.square(pts_to - g_to).sum(axis=1)
+    m_to = float(dev_to.sum())
+    if m_from == 0.0 or m_to == 0.0:
+        raise DegenerateShape("vertex set has zero diameter")
+    lam = math.sqrt(m_to / m_from)
     if abs(lam - 1.0) <= tol.scaled(1.0):
         raise RatioNotGreaterThanOne("equal diameters give a translation")
-    if lam < 1.0:
-        raise RatioNotGreaterThanOne("target vertex set is smaller than source")
-    g_from = _centroid(src.vertices, False)
-    g_to = _centroid(dst.vertices, False)
-    center = _center_from_ratio(lam, g_from, g_to)
+    center = _center_from_ratio(lam, g_from.tolist(), g_to.tolist())
     h = Homothety(center=center, ratio=lam)
-    image = [h.apply(v) for v in src.vertices]
-    if _hausdorff(image, [tuple(float(x) for x in v) for v in dst.vertices]) > tol.scaled(float(d_to)):
-        raise NotHomothetic("centroid and diameter agree but vertices do not map")
+    # every image vertex must lie near a target vertex and every target
+    # vertex near an image vertex; the largest distance from the centroid,
+    # at most the diameter, scales the tolerance
+    reach = tol.scaled(math.sqrt(float(dev_to.max())))
+    c = np.asarray(center)
+    near_target = dst._tree.query(c + lam * (pts_from - c), distance_upper_bound=reach)[0]
+    # the target pulled back by h against the source: distances shrink by lam
+    near_image = src._tree.query(c + (pts_to - c) / lam, distance_upper_bound=reach / lam)[0]
+    if np.isinf(near_target).any() or np.isinf(near_image).any():
+        raise NotHomothetic("centroid and second moment agree but vertices do not map")
     return h
-
-
-def _sq_diameter_exact(vs: VertexSet):
-    return max(_sq_dist_exact(u, v) for u, v in combinations(vs.vertices, 2))
 
 
 def _match_constraints(src: HalfspaceSet, dst: HalfspaceSet, tol: Tolerance, exact: bool):
@@ -361,30 +391,25 @@ def _match_constraints(src: HalfspaceSet, dst: HalfspaceSet, tol: Tolerance, exa
                 raise NotHomothetic("constraint normals do not match")
             matched.extend((normal, da, db) for da, db in zip(a, b))
         return matched
-    used = set()
+    # greedy: each source constraint in turn takes the nearest unused target
+    # normal (the first one on a tie)
+    a = np.asarray([h.normal for h in src.constraints], dtype=float)
+    b = np.asarray([g.normal for g in dst.constraints], dtype=float)
+    gaps = np.linalg.norm(a[:, None, :] - b[None, :, :], axis=2)
+    # unit normals: allow a generous but still tiny direction gap
+    limit = math.sqrt(tol.scaled(1.0))
     matched = []
-    for h in src.constraints:
-        nf = np.asarray(h.normal, dtype=float)
-        best, best_k = None, None
-        for k, g in enumerate(dst.constraints):
-            if k in used:
-                continue
-            gap = float(np.linalg.norm(nf - np.asarray(g.normal, dtype=float)))
-            if best is None or gap < best:
-                best, best_k = gap, k
-        if best is None or best > math.sqrt(tol.scaled(1.0)):
-            # unit normals: allow a generous but still tiny direction gap
+    for h, row in zip(src.constraints, gaps):
+        k = int(np.argmin(row))
+        if row[k] > limit:
             raise NotHomothetic("constraint normals do not match")
-        used.add(best_k)
-        matched.append((h.normal, h.offset, dst.constraints[best_k].offset))
+        gaps[:, k] = np.inf
+        matched.append((h.normal, h.offset, dst.constraints[k].offset))
     return matched
 
 
-def _detect_halfspaceset(src: HalfspaceSet, dst: HalfspaceSet, tol: Tolerance) -> Homothety:
-    exact = is_exact(
-        [list(h.normal) + [h.offset] for h in src.constraints]
-        + [list(h.normal) + [h.offset] for h in dst.constraints]
-    )
+def _halfspaceset_map(src: HalfspaceSet, dst: HalfspaceSet, tol: Tolerance,
+                      exact: bool) -> Homothety:
     matched = _match_constraints(src, dst, tol, exact)
     n = src.dimension
     # image of {x : a.x >= d} under (b, lam>0) is {x : a.x >= lam d + (1-lam) a.b};
@@ -403,8 +428,6 @@ def _detect_halfspaceset(src: HalfspaceSet, dst: HalfspaceSet, tol: Tolerance) -
         lam, c = sol[0], sol[1:]
         if lam == 1:
             raise RatioNotGreaterThanOne("shapes are translates")
-        if lam < 1:
-            raise RatioNotGreaterThanOne("target is smaller than source")
         center = tuple(x / (1 - lam) for x in c)
         return Homothety(center=center, ratio=lam)
     rows = np.asarray(
@@ -420,31 +443,48 @@ def _detect_halfspaceset(src: HalfspaceSet, dst: HalfspaceSet, tol: Tolerance) -
     lam = float(sol[0])
     if abs(lam - 1.0) <= tol.scaled(1.0):
         raise RatioNotGreaterThanOne("shapes are translates")
-    if lam < 1.0:
-        raise RatioNotGreaterThanOne("target is smaller than source")
     center = tuple(float(x) / (1.0 - lam) for x in sol[1:])
     return Homothety(center=center, ratio=lam)
+
+
+# per kind: the detector and the message for a ratio below 1
+_MAPS = {
+    Ball: (_ball_map, "target ball is smaller than source"),
+    VertexSet: (_vertexset_map, "target vertex set is smaller than source"),
+    HalfspaceSet: (_halfspaceset_map, "target is smaller than source"),
+}
+
+
+def _homothety(src, dst, tol: Tolerance) -> Homothety:
+    """The homothety h with h(src) = dst, whatever its ratio.
+
+    Raises as detect_homothety does, except that a ratio below 1 is
+    returned.  A ratio of 1 (a translation) still raises
+    RatioNotGreaterThanOne: it has no center.  The ratio of half-space
+    sets comes from a linear solve and may be negative.
+    """
+    if type(src) is not type(dst):
+        raise NotHomothetic("shapes must have the same kind")
+    if src.dimension != dst.dimension:
+        raise DimensionMismatch("shapes must share a dimension")
+    if type(src) not in _MAPS:
+        raise InvalidInput(f"unsupported shape type {type(src).__name__}")
+    return _MAPS[type(src)][0](src, dst, tol, _exact_pair(src, dst))
 
 
 def detect_homothety(src, dst, tol: Tolerance = DEFAULT_TOLERANCE) -> Homothety:
     """Unique homothety h with h(src) = dst and ratio above 1.
 
     Shapes must share kind and dimension.  Equal sizes mean the map is a
-    translation and raise RatioNotGreaterThanOne; shape pairs that no
-    homothety relates raise NotHomothetic; pairs related by infinitely
-    many (parallel half-plane translates, say) raise NonUniqueHomothety.
+    translation and raise RatioNotGreaterThanOne, as does a target smaller
+    than the source; shape pairs that no homothety relates raise
+    NotHomothetic; pairs related by infinitely many (parallel half-plane
+    translates, say) raise NonUniqueHomothety.
     """
-    if type(src) is not type(dst):
-        raise NotHomothetic("shapes must have the same kind")
-    if src.dimension != dst.dimension:
-        raise DimensionMismatch("shapes must share a dimension")
-    if isinstance(src, Ball):
-        return _detect_ball(src, dst, tol)
-    if isinstance(src, VertexSet):
-        return _detect_vertexset(src, dst, tol)
-    if isinstance(src, HalfspaceSet):
-        return _detect_halfspaceset(src, dst, tol)
-    raise InvalidInput(f"unsupported shape type {type(src).__name__}")
+    h = _homothety(src, dst, tol)
+    if h.ratio < 1:
+        raise RatioNotGreaterThanOne(_MAPS[type(src)][1])
+    return h
 
 
 def apply_homothety(h: Homothety, shape):

@@ -55,6 +55,25 @@ def test_verify_error_object_on_stdout(tmp_path, capsys):
     assert err["where"] == "$.dimension"
 
 
+def test_non_homothetic_shapes_exit_2_with_pair(tmp_path, capsys):
+    scenario = {
+        "geometry": "euclidean",
+        "dimension": 2,
+        "kind": "shapes",
+        "shapes": [
+            {"type": "vertices", "points": [[0, 0], [4, 0], [0, 4]]},
+            {"type": "vertices", "points": [[10, 0], [12, 0], [10, 2]]},
+            {"type": "vertices", "points": [[0, 10], [1, 10], [0, 11.5]]},
+        ],
+    }
+    src = write_scenario(tmp_path / "s.json", scenario)
+    assert main(["verify", "--input", src]) == 2
+    err = json.loads(capsys.readouterr().out)["error"]
+    assert err["code"] == "NotHomothetic"
+    # input positions: the third shape is no homothet of the first
+    assert err["pair"] == [1, 3]
+
+
 def test_internal_error_exits_3(tmp_path, capsys, monkeypatch):
     # a crash must not read as exit 1, which means "verdict mismatch"
     def broken(scenario, tol):

@@ -55,6 +55,35 @@ def test_is_exact_classification():
         is_exact([(float("nan"),)])
 
 
+@pytest.mark.parametrize("values, expected", [
+    ([1.0, 2.5], False),
+    ([1, 2], True),
+    ([True, False], True),
+    ([np.float64(1.5)], False),
+    ([np.int64(3), 4], True),
+    ([np.array([1, 2])], True),
+    ([np.array([[1.0, 2.0], [3.0, 4.0]])], False),
+    (np.array([1.0, 2.0]), False),
+    ([], True),
+    ([(0.5, 1), (2, 3.0)], False),                 # ints among floats
+    ([[[[Fraction(1, 3)]], (2, [3, (Fraction(-1, 2),)])]], True),
+    ([[[[0.25]], (2, [3, (1,)])]], False),
+    ([(float("nan"),)], InvalidInput),
+    ([Fraction(1, 2), float("inf")], InvalidInput),
+    ([float("-inf"), Fraction(1, 2)], InvalidInput),
+    ([np.float64("inf")], InvalidInput),
+    ([Fraction(1, 2), 0.5], BackendMixError),
+    ([[1, 2.0], [[Fraction(1, 2)]]], BackendMixError),
+    ([(1.0, "2")], InvalidInput),
+])
+def test_is_exact_table(values, expected):
+    if isinstance(expected, bool):
+        assert is_exact(values) is expected
+    else:
+        with pytest.raises(expected):
+            is_exact(values)
+
+
 @given(
     st.lists(
         st.lists(st.integers(-50, 50), min_size=3, max_size=3),

@@ -1,10 +1,13 @@
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, permutations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mongekit.errors import NotHomothetic, RatioNotGreaterThanOne
+from mongekit.kernel import rank
 from mongekit.kernel import Tolerance
 from mongekit.menelaus import (
     Homothety,
@@ -55,8 +58,83 @@ def test_three_circles_exact():
 def test_build_sorts_and_rejects_ties():
     config = MongeConfig.build((THREE_CIRCLES[2], THREE_CIRCLES[0], THREE_CIRCLES[1]))
     assert [b.radius for b in config.shapes] == [3.0, 2.0, 1.0]
-    with pytest.raises(RatioNotGreaterThanOne):
+    with pytest.raises(RatioNotGreaterThanOne) as err:
         MongeConfig.build((Ball((0.0, 0.0), 1.0), Ball((4.0, 0.0), 1.0), Ball((0.0, 4.0), 2.0)))
+    assert err.value.pair == (1, 2)
+    # a tie between two shapes other than the first names their input positions
+    with pytest.raises(RatioNotGreaterThanOne) as err:
+        MongeConfig.build((Ball((0.0, 0.0), 2.0), Ball((4.0, 0.0), 1.0), Ball((0.0, 4.0), 1.0)))
+    assert err.value.pair == (2, 3)
+
+
+def test_half_plane_family_every_order():
+    # unbounded sets: the order comes from the detected ratios alone
+    family = [halfplane_family_exact(i) for i in (1, 2, 3)]
+    want = run_monge(MongeConfig.build(family))
+    assert want.centers == {(1, 2): (0, -1), (1, 3): (0, 0), (2, 3): (0, Fraction(1, 5))}
+    assert want.ratios == {(1, 2): Fraction(4, 3), (1, 3): 3, (2, 3): Fraction(9, 4)}
+    for order in permutations(range(3)):
+        for make in (halfplane_family_exact, halfplane_family):
+            got = run_monge(MongeConfig.build([make(i + 1) for i in order]))
+            assert got.verdict
+            if make is halfplane_family_exact:
+                assert got.centers == want.centers and got.ratios == want.ratios
+                assert got.hyperplane == want.hyperplane
+            else:
+                for pair, center in want.centers.items():
+                    assert got.centers[pair] == pytest.approx([float(x) for x in center],
+                                                              abs=1e-12)
+                    assert got.ratios[pair] == pytest.approx(float(want.ratios[pair]))
+
+
+def _halfspace_family(rng, n):
+    """n+1 exact homothets of a random polyhedron (bounded or not) whose
+    constraints pin down a unique homothety."""
+    while True:
+        normals = [tuple(int(x) for x in rng.integers(-3, 4, size=n)) for _ in range(n + 1)]
+        inside = [Fraction(int(x)) for x in rng.integers(-5, 6, size=n)]
+        offsets = [sum(a * x for a, x in zip(nrm, inside)) - int(rng.integers(1, 4))
+                   for nrm in normals]
+        rows = [(d,) + nrm for nrm, d in zip(normals, offsets)]
+        if (all(any(nrm) for nrm in normals) and len(set(normals)) == len(normals)
+                and rank(rows) == n + 1):
+            break
+    base = HalfspaceSet(constraints=tuple(zip(normals, offsets)))
+    return [base] + [
+        apply_homothety(Homothety(center=tuple(Fraction(int(x)) for x in
+                                               rng.integers(-9, 10, size=n)),
+                                  ratio=Fraction(2 * k + 3, 2)), base)
+        for k in range(n)
+    ]
+
+
+def _float_family(rng, n, kind):
+    ratios = [1.0] + [1.3 * 1.4 ** k for k in range(n)]
+    if kind == "balls":
+        centers = rng.uniform(-10, 10, size=(n + 1, n))
+        return [Ball(tuple(c), 2.0 * r) for c, r in zip(centers, ratios)]
+    base = VertexSet(vertices=tuple(tuple(p) for p in rng.uniform(-5, 5, size=(n + 3, n))))
+    return [base] + [
+        apply_homothety(Homothety(center=tuple(rng.uniform(-8, 8, size=n)), ratio=r), base)
+        for r in ratios[1:]
+    ]
+
+
+@given(st.sampled_from(["balls", "vertex_sets", "halfspaces"]), st.integers(2, 3),
+       st.integers(0, 10_000), st.permutations(range(4)))
+@settings(max_examples=40, deadline=None)
+def test_shuffled_family_same_report(kind, n, seed, order):
+    rng = np.random.default_rng(seed)
+    if kind == "halfspaces":
+        family = _halfspace_family(rng, n)
+    else:
+        family = _float_family(rng, n, kind)
+    want = run_monge(MongeConfig.build(family))
+    got = run_monge(MongeConfig.build([family[k] for k in order if k <= n]))
+    assert want.verdict and got.verdict
+    assert got.centers == want.centers
+    assert got.ratios == want.ratios
+    assert got.hyperplane == want.hyperplane
 
 
 def test_halfplane_family_on_vertical_line():
@@ -156,3 +234,31 @@ def test_non_homothetic_family_raises_with_pair():
     with pytest.raises(NotHomothetic) as err:
         run_monge(MongeConfig.build(tuple(vs)))
     assert err.value.pair is not None
+
+
+@pytest.fixture(scope="module")
+def big_vertex_family():
+    rng = np.random.default_rng(11)
+    base = VertexSet(vertices=tuple(map(tuple, rng.uniform(-10, 10, size=(100_000, 2)).tolist())))
+    return [
+        base,
+        apply_homothety(Homothety(center=(3.0, -2.0), ratio=1.7), base),
+        apply_homothety(Homothety(center=(-5.0, 4.0), ratio=2.9), base),
+    ]
+
+
+def test_large_vertex_sets_verify(big_vertex_family):
+    family = big_vertex_family
+    report = run_monge(MongeConfig.build([family[1], family[2], family[0]]))
+    assert report.verdict
+    assert report.ratios[(1, 2)] == pytest.approx(2.9 / 1.7, rel=1e-12)
+    assert report.centers[(2, 3)] == pytest.approx((3.0, -2.0), abs=1e-9)
+
+
+def test_moved_vertex_is_not_homothetic(big_vertex_family):
+    family = big_vertex_family
+    moved = list(family[2].vertices)
+    moved[17] = (moved[17][0] + 1e-3, moved[17][1])
+    with pytest.raises(NotHomothetic) as err:
+        MongeConfig.build([family[0], family[1], VertexSet(vertices=tuple(moved))])
+    assert err.value.pair == (1, 3)

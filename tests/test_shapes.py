@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mongekit.errors import (
+    BackendMixError,
     DegenerateShape,
     InfeasibleRegion,
     InvalidInput,
@@ -15,11 +16,13 @@ from mongekit.errors import (
     RatioNotGreaterThanOne,
     UnboundedShape,
 )
+from mongekit.kernel import DEFAULT_TOLERANCE
 from mongekit.menelaus import Homothety
 from mongekit.shapes import (
     Ball,
     HalfspaceSet,
     VertexSet,
+    _match_constraints,
     apply_homothety,
     detect_homothety,
     size_measure,
@@ -205,3 +208,65 @@ def test_detection_inverts_application(seed):
     got = detect_homothety(src, image)
     assert got.ratio == pytest.approx(lam, rel=1e-9)
     assert np.asarray(got.center) == pytest.approx(np.asarray(center), rel=1e-7, abs=1e-7)
+
+
+def _greedy_reference(src, dst, tol):
+    """Constraint matching one pair at a time: each source constraint takes
+    the nearest unused target normal, the first on a tie."""
+    used, matched = set(), []
+    for h in src.constraints:
+        gaps = [(float(np.linalg.norm(np.subtract(h.normal, g.normal))), k)
+                for k, g in enumerate(dst.constraints) if k not in used]
+        best, k = min(gaps)
+        if best > math.sqrt(tol.scaled(1.0)):
+            return None
+        used.add(k)
+        matched.append((h.normal, h.offset, dst.constraints[k].offset))
+    return matched
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_constraint_matching_picks(seed):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 4))
+    normals = [rng.normal(size=n) for _ in range(6)]
+    # near-parallel pairs: the greedy order decides which one each source takes
+    normals += [v + rng.normal(scale=1e-11, size=n) for v in normals[:3]]
+    src = HalfspaceSet(constraints=tuple((tuple(v), -float(rng.uniform(1, 3))) for v in normals))
+    image = apply_homothety(Homothety(center=tuple(rng.uniform(-2, 2, size=n)), ratio=1.7), src)
+    dst = HalfspaceSet(constraints=tuple(image.constraints[k]
+                                         for k in rng.permutation(len(normals))))
+    want = _greedy_reference(src, dst, DEFAULT_TOLERANCE)
+    assert want is not None
+    assert _match_constraints(src, dst, DEFAULT_TOLERANCE, False) == want
+
+
+def test_constraint_matching_tie_takes_first():
+    # (1, 0) is equally near both tilted normals; it takes the first unused
+    t = 1e-6
+    src = HalfspaceSet(constraints=(((1.0, 0.0), 0.0), ((math.cos(t), math.sin(t)), -1.0),
+                                    ((0.0, 1.0), -1.0)))
+    dst = HalfspaceSet(constraints=(((math.cos(t), math.sin(t)), -2.0),
+                                    ((math.cos(t), -math.sin(t)), -3.0), ((0.0, 1.0), -1.0)))
+    assert _match_constraints(src, dst, DEFAULT_TOLERANCE, False) == _greedy_reference(
+        src, dst, DEFAULT_TOLERANCE)
+    offsets = [d_to for _, _, d_to in _match_constraints(src, dst, DEFAULT_TOLERANCE, False)]
+    assert offsets == pytest.approx([-2.0, -3.0, -1.0])
+
+
+def test_backend_flag_per_shape():
+    exact = Ball((Fraction(1), 2), Fraction(1, 2))
+    floats = Ball((1.0, 2.0), 3.0)
+    ints = Ball((0, 0), 5)
+    assert exact._exact and ints._exact and not floats._exact
+    # flags that disagree fall back to one walk over both shapes
+    with pytest.raises(BackendMixError):
+        detect_homothety(floats, exact)
+    h = detect_homothety(floats, ints)
+    assert h.ratio == pytest.approx(5.0 / 3.0) and isinstance(h.ratio, float)
+    # the flag is computed once, on first use, and never during construction
+    vs = VertexSet(vertices=((0.0, 0.0), (1.0, 0.0), (0.0, 1.0), (1.0, 0.0)))
+    assert "_exact" not in vars(vs)
+    assert len(vs.vertices) == 3
+    detect_homothety(vs, apply_homothety(Homothety(center=(1.0, 1.0), ratio=2.0), vs))
+    assert vars(vs)["_exact"] is False
