@@ -17,6 +17,7 @@ MONGE_TOLERANCE environment variable.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -205,7 +206,9 @@ def cmd_figure(args):
     return 0
 
 
+@functools.cache
 def _build_parser():
+    """The argument parser, built once per process: parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="mongekit",
         description="Verify, generate, sweep, and draw homothety-center scenarios.",

@@ -258,7 +258,12 @@ def affine_span_dim(points, tol: Tolerance = DEFAULT_TOLERANCE) -> int:
     if not pts:
         raise InvalidInput("need at least one point")
     _check_rect(pts)
-    if is_exact(pts):
+    return _affine_span_dim(pts, tol, is_exact(pts))
+
+
+def _affine_span_dim(pts, tol: Tolerance, exact) -> int:
+    """affine_span_dim of nonempty rectangular rows on the given backend."""
+    if exact:
         return len(_homogeneous_echelon(pts)[1]) - 1
     a = _as_float_rows(pts)
     if a.shape[0] == 1:
@@ -272,6 +277,12 @@ def affinely_independent(points, tol: Tolerance = DEFAULT_TOLERANCE) -> bool:
     Requires exactly n+1 points of dimension n.
     """
     pts = list(points)
+    return _affinely_independent(pts, tol, is_exact(pts))
+
+
+def _affinely_independent(pts, tol: Tolerance, exact) -> bool:
+    """affinely_independent on a backend the caller already chose, so that
+    a set classified once is not classified again."""
     if not pts:
         raise InvalidInput("need at least one point")
     _check_rect(pts)
@@ -280,7 +291,7 @@ def affinely_independent(points, tol: Tolerance = DEFAULT_TOLERANCE) -> bool:
         raise DimensionMismatch(
             f"need exactly {n + 1} points in dimension {n}, got {len(pts)}"
         )
-    return affine_span_dim(pts, tol) == n
+    return _affine_span_dim(pts, tol, exact) == n
 
 
 # ----------------------------------------------------------------------

@@ -7,11 +7,16 @@ equals 1, where lambda_ij is the signed ratio of the homothety centered
 at b_ij taking a_j to a_i.  The sign matters: unsigned length ratios also
 give product 1 for edge midpoints, which are never coplanar with each
 other in this sense, so an unsigned reading has no equivalence.
+
+The backend is chosen once per edge-point set.  On the float backend the
+ratios of all n(n+1)/2 pairs are computed in one batch, a fixed number of
+numpy operations on stacked (pairs, dimension) arrays; signed_ratio is the
+same batch with one row.  On the exact backend each ratio comes from
+cleared integer vectors.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
@@ -32,6 +37,7 @@ from .kernel import (
     DEFAULT_TOLERANCE,
     Hyperplane,
     Tolerance,
+    _affinely_independent,
     _cleared,
     _exact_solve,
     affinely_independent,
@@ -88,29 +94,13 @@ class EdgePointSet:
         return len(self.vertices[0])
 
     def validate(self, tol: Tolerance = DEFAULT_TOLERANCE):
-        """Check the structure and return the signed ratio of every pair."""
-        n = self.dimension
-        if len(self.vertices) != n + 1:
-            raise DimensionMismatch(
-                f"need {n + 1} vertices in dimension {n}, got {len(self.vertices)}"
-            )
-        if not affinely_independent(self.vertices, tol):
-            raise DegenerateConfiguration("simplex vertices are affinely dependent")
-        expected = set(all_pairs(n + 1))
-        got = set(self.edge_points)
-        if got != expected:
-            raise InvalidInput(
-                f"edge point pairs {sorted(got)} do not match expected {sorted(expected)}"
-            )
-        lambdas = {}
-        for (i, j), b in sorted(self.edge_points.items()):
-            if len(b) != n:
-                raise DimensionMismatch(f"edge point {(i, j)} has wrong dimension")
-            # raises NotOnLine / CoincidesWithVertex with pair context
-            lambdas[(i, j)] = signed_ratio(
-                self.vertices[i - 1], self.vertices[j - 1], b, tol, pair=(i, j)
-            )
-        return lambdas
+        """Check the structure and return the signed ratio of every pair.
+
+        The backend is chosen once for the whole set: exact when every
+        vertex and edge point coordinate is an int or Fraction.
+        """
+        exact = is_exact([list(p) for p in (*self.vertices, *self.edge_points.values())])
+        return _edge_ratios(self, tol, exact)
 
 
 @dataclass(frozen=True)
@@ -128,8 +118,75 @@ class MenelausReport:
     verdict: bool
 
 
-def _dist(u, v):
-    return math.sqrt(sum((float(a) - float(b)) ** 2 for a, b in zip(u, v)))
+def _row_dots(p, q):
+    """Row-wise dot products of two (P, d) arrays."""
+    return np.einsum("pk,pk->p", p, q)
+
+
+def _row_norms(p):
+    return np.sqrt(_row_dots(p, p))
+
+
+def _pair_rows(vertices, pairs):
+    """Stacked float rows (a_i, a_j), one row per 1-based pair (i, j)."""
+    v = np.asarray(vertices, dtype=float)
+    idx = np.asarray(pairs, dtype=int).reshape(-1, 2) - 1
+    return v[idx[:, 0]], v[idx[:, 1]]
+
+
+def _raise_first(pairs, checks):
+    """Raise for the first pair any check flags, with its first failing check.
+
+    ``checks`` lists (flags, error class, message) in the order one pair is
+    checked; each flags array holds one boolean per pair.
+    """
+    bad = np.logical_or.reduce([flags for flags, _, _ in checks])
+    if bad.any():
+        row = int(bad.argmax())
+        error, message = next((e, m) for flags, e, m in checks if flags[row])
+        raise error(message, pair=pairs[row])
+
+
+def _float_ratios(a_i, a_j, b, tol: Tolerance, pairs):
+    """signed_ratio of stacked (P, d) float rows a_i, a_j, b, one row per pair.
+
+    Every row runs every check; the first flagged row in ``pairs`` order
+    raises with the first check it fails, in the order listed below.  The
+    inf and nan that later rows may compute raise no warning.
+    """
+    with np.errstate(all="ignore"):
+        side = a_j - a_i
+        edge = _row_norms(side)
+        near = tol.abs + tol.rel * edge
+        d1 = a_i - b
+        d2 = a_j - b
+        direction = side / edge[:, None]
+        # the part of b - a_i across the edge line, negated: same norm
+        rej = d1 - _row_dots(d1, direction)[:, None] * direction
+        _raise_first(pairs, [
+            (edge == 0.0, DegenerateConfiguration, "vertices coincide"),
+            ((_row_norms(d1) <= near) | (_row_norms(d2) <= near),
+             CoincidesWithVertex, "edge point equals a vertex"),
+            (_row_norms(rej) > near, NotOnLine, "point is off the vertex line"),
+        ])
+        return _row_dots(d1, d2) / _row_dots(d2, d2)
+
+
+def _exact_ratio(a_i, a_j, b, pair):
+    """signed_ratio of rational points, from their cleared integer vectors."""
+    # with a = A / L_a (integer A, L_a > 0): a_i - b = D1 / (L_i L_b) and
+    # a_j - b = D2 / (L_j L_b), so lambda = (D1 . D2) L_j / ((D2 . D2) L_i)
+    (ai, li), (aj, lj), (bb, lb) = _cleared(a_i), _cleared(a_j), _cleared(b)
+    d1 = [x * lb - y * li for x, y in zip(ai, bb)]
+    d2 = [x * lb - y * lj for x, y in zip(aj, bb)]
+    if not any(d2) or not any(d1):
+        raise CoincidesWithVertex("edge point equals a vertex", pair=pair)
+    p = next(k for k, x in enumerate(d2) if x)
+    if any(x * d2[p] != d1[p] * y for x, y in zip(d1, d2)):
+        raise NotOnLine("point is off the vertex line", pair=pair)
+    num = sum(x * y for x, y in zip(d1, d2))
+    den = sum(x * x for x in d2)
+    return Fraction(num * lj, den * li)
 
 
 def signed_ratio(a_i, a_j, b, tol: Tolerance = DEFAULT_TOLERANCE, pair=None):
@@ -142,35 +199,41 @@ def signed_ratio(a_i, a_j, b, tol: Tolerance = DEFAULT_TOLERANCE, pair=None):
     if len(a_i) != len(a_j) or len(a_i) != len(b):
         raise DimensionMismatch("points must share one dimension", pair=pair)
     if is_exact([list(a_i), list(a_j), list(b)]):
-        # with a = A / L_a (integer A, L_a > 0): a_i - b = D1 / (L_i L_b) and
-        # a_j - b = D2 / (L_j L_b), so lambda = (D1 . D2) L_j / ((D2 . D2) L_i)
-        (ai, li), (aj, lj), (bb, lb) = _cleared(a_i), _cleared(a_j), _cleared(b)
-        d1 = [x * lb - y * li for x, y in zip(ai, bb)]
-        d2 = [x * lb - y * lj for x, y in zip(aj, bb)]
-        if not any(d2) or not any(d1):
-            raise CoincidesWithVertex("edge point equals a vertex", pair=pair)
-        p = next(k for k, x in enumerate(d2) if x)
-        if any(x * d2[p] != d1[p] * y for x, y in zip(d1, d2)):
-            raise NotOnLine("point is off the vertex line", pair=pair)
-        num = sum(x * y for x, y in zip(d1, d2))
-        den = sum(x * x for x in d2)
-        return Fraction(num * lj, den * li)
-    ai = np.asarray([float(x) for x in a_i])
-    aj = np.asarray([float(x) for x in a_j])
-    bb = np.asarray([float(x) for x in b])
-    edge = float(np.linalg.norm(aj - ai))
-    if edge == 0.0:
-        raise DegenerateConfiguration("vertices coincide", pair=pair)
-    near = tol.scaled(edge)
-    if _dist(b, a_i) <= near or _dist(b, a_j) <= near:
-        raise CoincidesWithVertex("edge point equals a vertex", pair=pair)
-    direction = (aj - ai) / edge
-    rej = (bb - ai) - ((bb - ai) @ direction) * direction
-    if float(np.linalg.norm(rej)) > near:
-        raise NotOnLine("point is off the vertex line", pair=pair)
-    d1 = ai - bb
-    d2 = aj - bb
-    return float(d1 @ d2) / float(d2 @ d2)
+        return _exact_ratio(a_i, a_j, b, pair)
+    rows = np.asarray([a_i, a_j, b], dtype=float)
+    return float(_float_ratios(rows[:1], rows[1:2], rows[2:], tol, [pair])[0])
+
+
+def _edge_ratios(eps: EdgePointSet, tol: Tolerance, exact):
+    """EdgePointSet.validate on the backend the caller chose for the set."""
+    n = eps.dimension
+    if len(eps.vertices) != n + 1:
+        raise DimensionMismatch(
+            f"need {n + 1} vertices in dimension {n}, got {len(eps.vertices)}"
+        )
+    if not _affinely_independent(list(eps.vertices), tol, exact):
+        raise DegenerateConfiguration("simplex vertices are affinely dependent")
+    pairs = all_pairs(n + 1)
+    got = set(eps.edge_points)
+    if got != set(pairs):
+        raise InvalidInput(
+            f"edge point pairs {sorted(got)} do not match expected {pairs}"
+        )
+    points = [eps.edge_points[p] for p in pairs]
+    # the pairs before the first edge point of the wrong length are checked first
+    good = next((k for k, b in enumerate(points) if len(b) != n), len(pairs))
+    if exact:
+        ratios = [
+            _exact_ratio(eps.vertices[i - 1], eps.vertices[j - 1], b, pair=(i, j))
+            for (i, j), b in zip(pairs[:good], points)
+        ]
+    else:
+        a_i, a_j = _pair_rows(eps.vertices, pairs[:good])
+        b = np.asarray(points[:good], dtype=float).reshape(good, n)
+        ratios = _float_ratios(a_i, a_j, b, tol, pairs[:good]).tolist()
+    if good < len(pairs):
+        raise DimensionMismatch("points must share one dimension", pair=pairs[good])
+    return dict(zip(pairs, ratios))
 
 
 def _menelaus_report(lambdas, points, fit, tol: Tolerance, exact=False) -> MenelausReport:
@@ -211,7 +274,7 @@ def menelaus_products(eps: EdgePointSet, tol: Tolerance = DEFAULT_TOLERANCE) -> 
     points = [eps.edge_points[p] for p in sorted(eps.edge_points)]
     # the one backend choice for the set: a Fraction among floats fails here
     exact = is_exact([list(p) for p in (*eps.vertices, *points)])
-    lambdas = eps.validate(tol)
+    lambdas = _edge_ratios(eps, tol, exact)
     return _menelaus_report(lambdas, points, fit_hyperplane, tol, exact)
 
 

@@ -5,9 +5,12 @@ the upper sheet of <x, x>_L = -1 where <x, y>_L = -x_0 y_0 + sum x_k y_k.
 Lines are intersections with two-dimensional linear subspaces.  The
 edge-point ratio lambda_ij = |a_i ^ b| / |a_j ^ b| is the sin (sphere) or
 sinh (hyperboloid) ratio of the two sub-arcs, but it is computed by
-linear algebra alone: one decomposition b = alpha a_i + beta a_j gives the
-line and arc-order tests, and each bivector norm comes from a chord in the
-ambient bilinear form.  Hyperplane sections are zero sets
+linear algebra alone: one least-squares decomposition b = alpha a_i +
+beta a_j gives the line and arc-order tests, and each bivector norm comes
+from a chord in the ambient bilinear form.  The ratios of all n(n+1)/2
+pairs of a configuration are computed in one batch, a fixed number of
+numpy operations on stacked (pairs, n+1) arrays; xn_lambda is the same
+batch with one row.  Hyperplane sections are zero sets
 {x : B(w, x) = 0} of that form; on the hyperboloid a valid w must be
 spacelike.  Triple products, thresholds and the report are shared with
 the Euclidean verifier in menelaus.
@@ -37,7 +40,16 @@ from .errors import (
     NotTimelike,
 )
 from .kernel import DEFAULT_TOLERANCE, Tolerance, _float_rank
-from .menelaus import MenelausReport, _check_weights, _menelaus_report, all_pairs
+from .menelaus import (
+    MenelausReport,
+    _check_weights,
+    _menelaus_report,
+    _pair_rows,
+    _raise_first,
+    _row_dots,
+    _row_norms,
+    all_pairs,
+)
 
 __all__ = [
     "SPHERICAL",
@@ -194,21 +206,79 @@ def _form(g, u, v):
     return float(u @ v)
 
 
-def _chord(g, u, v):
-    """Chord length |v - u| in the model's form, about the geodesic distance when small."""
-    w = v - u
-    return math.sqrt(abs(_form(g, w, w)))
+def _row_forms(g, p, q):
+    """Row-wise bilinear form of (P, n+1) arrays: _form for each row pair."""
+    if g == HYPERBOLIC:
+        return -p[:, 0] * q[:, 0] + _row_dots(p[:, 1:], q[:, 1:])
+    return _row_dots(p, q)
 
 
-def _wedge_norm(g, a, b):
+def _chords(g, p, q):
+    """Chord lengths |q - p| in the model's form, about the geodesic distances when small."""
+    w = q - p
+    return np.sqrt(np.abs(_row_forms(g, w, w)))
+
+
+def _wedge_norms(g, a, b):
     """|a ^ b| in the model's form: sin (S^n) or sinh (H^n) of the distance |ab|.
 
     Taken from the chord w = b - a as the part of w orthogonal to a, which
     stays accurate when a and b are close.
     """
     w = b - a
-    r = w - (_form(g, w, a) / _form(g, a, a)) * a
-    return math.sqrt(abs(_form(g, r, r)))
+    r = w - (_row_forms(g, w, a) / _row_forms(g, a, a))[:, None] * a
+    return np.sqrt(np.abs(_row_forms(g, r, r)))
+
+
+def _two_column_lstsq(u, v, x):
+    """Least-squares x ~ alpha u + beta v for each row: (alpha, beta, residual norm).
+
+    A closed-form QR of the two columns [u v]; the second column is
+    orthogonalised against the first twice, which keeps q1 and q2
+    orthogonal to rounding even when u and v are nearly parallel.
+    """
+    r11 = _row_norms(u)
+    q1 = u / r11[:, None]
+    r12 = _row_dots(q1, v)
+    w = v - r12[:, None] * q1
+    again = _row_dots(q1, w)
+    r12 = r12 + again
+    w = w - again[:, None] * q1
+    r22 = _row_norms(w)
+    q2 = w / r22[:, None]
+    beta = _row_dots(q2, x) / r22
+    alpha = (_row_dots(q1, x) - r12 * beta) / r11
+    residual = _row_norms(alpha[:, None] * u + beta[:, None] * v - x)
+    return alpha, beta, residual
+
+
+def _xn_ratios(g, u, v, x, tol: Tolerance, pairs):
+    """xn_lambda of stacked (P, n+1) ambient rows a_i, a_j, b, one row per pair.
+
+    Every row runs every check; the first flagged row in ``pairs`` order
+    raises with the first check it fails, in the order listed below.  The
+    inf and nan that later rows may compute raise no warning.
+    """
+    near = tol.scaled(1.0)
+    with np.errstate(all="ignore"):
+        alpha, beta, residual = _two_column_lstsq(u, v, x)
+        checks = [(_chords(g, u, v) <= near, CoincidesWithVertex, "vertices coincide")]
+        if g == SPHERICAL:
+            checks.append((_row_norms(u + v) <= ANTIPODAL_GUARD, AntipodalPoints,
+                           "vertices are (nearly) antipodal"))
+        checks += [
+            ((_chords(g, x, u) <= near) | (_chords(g, x, v) <= near),
+             CoincidesWithVertex, "edge point coincides with a vertex"),
+            (residual > near, NotOnLine, "edge point is off the vertex line"),
+            (alpha == 0.0, NotOnLine, "edge point is in the direction of a vertex"),
+        ]
+        if g == SPHERICAL:
+            checks.append((_row_norms(u + x) <= ANTIPODAL_GUARD, AntipodalPoints,
+                           "arc endpoints are (nearly) antipodal"))
+        checks.append((~((alpha < 0.0) & (0.0 < beta)), ArcOrderViolation,
+                       "second vertex is not on the arc to the edge point"))
+        _raise_first(pairs, checks)
+        return _wedge_norms(g, u, x) / _wedge_norms(g, v, x)
 
 
 def xn_lambda(a_i: XnPoint, a_j: XnPoint, b: XnPoint, tol: Tolerance = DEFAULT_TOLERANCE, pair=None):
@@ -218,32 +288,15 @@ def xn_lambda(a_i: XnPoint, a_j: XnPoint, b: XnPoint, tol: Tolerance = DEFAULT_T
     decides everything: its residual tests that b is on the line, and
     alpha < 0 < beta that a_j lies on the arc from a_i to b.  The ratio is
     |a_i ^ b| / |a_j ^ b|, the sin (sphere) or sinh (hyperboloid) ratio of
-    the sub-arcs |a_i b| and |a_j b|.
+    the sub-arcs |a_i b| and |a_j b|.  This is the batch XnConfig.validate
+    runs, with one row.
     """
     try:
         g = _same_space(a_i, a_j, b)
     except GeometryError as e:
         raise type(e)(e.args[0], pair=pair) from None
-    u, v, x = a_i.as_array(), a_j.as_array(), b.as_array()
-    near = tol.scaled(1.0)
-    if _chord(g, u, v) <= near:
-        raise CoincidesWithVertex("vertices coincide", pair=pair)
-    if g == SPHERICAL and float(np.linalg.norm(u + v)) <= ANTIPODAL_GUARD:
-        raise AntipodalPoints("vertices are (nearly) antipodal", pair=pair)
-    if _chord(g, x, u) <= near or _chord(g, x, v) <= near:
-        raise CoincidesWithVertex("edge point coincides with a vertex", pair=pair)
-    m = np.stack([u, v], axis=1)
-    sol, *_ = np.linalg.lstsq(m, x, rcond=None)
-    if float(np.linalg.norm(m @ sol - x)) > near:
-        raise NotOnLine("edge point is off the vertex line", pair=pair)
-    alpha, beta = sol
-    if alpha == 0.0:
-        raise NotOnLine("edge point is in the direction of a vertex", pair=pair)
-    if g == SPHERICAL and float(np.linalg.norm(u + x)) <= ANTIPODAL_GUARD:
-        raise AntipodalPoints("arc endpoints are (nearly) antipodal", pair=pair)
-    if not alpha < 0.0 < beta:
-        raise ArcOrderViolation("second vertex is not on the arc to the edge point", pair=pair)
-    return _wedge_norm(g, u, x) / _wedge_norm(g, v, x)
+    rows = np.asarray([a_i.coords, a_j.coords, b.coords], dtype=float)
+    return float(_xn_ratios(g, rows[:1], rows[1:2], rows[2:], tol, [pair])[0])
 
 
 def xn_independent(points, tol: Tolerance = DEFAULT_TOLERANCE) -> bool:
@@ -315,7 +368,8 @@ class XnConfig:
         return self.vertices[0].dimension
 
     def validate(self, tol: Tolerance = DEFAULT_TOLERANCE):
-        """Check the structure and return the ratio xn_lambda of every pair."""
+        """Check the structure and return the ratio xn_lambda of every pair,
+        all pairs in one batch."""
         pts = list(self.vertices) + [self.edge_points[k] for k in sorted(self.edge_points)]
         _same_space(*pts)
         n = self.dimension
@@ -327,11 +381,11 @@ class XnConfig:
             raise InvalidInput("edge point pairs do not cover all vertex pairs exactly once")
         if not xn_independent(self.vertices, tol):
             raise DegenerateConfiguration("vertex vectors are linearly dependent")
-        return {
-            (i, j): xn_lambda(self.vertices[i - 1], self.vertices[j - 1],
-                              self.edge_points[(i, j)], tol, pair=(i, j))
-            for (i, j) in all_pairs(n + 1)
-        }
+        pairs = all_pairs(n + 1)
+        a_i, a_j = _pair_rows([p.coords for p in self.vertices], pairs)
+        b = np.asarray([self.edge_points[p].coords for p in pairs], dtype=float)
+        ratios = _xn_ratios(self.geometry, a_i, a_j, b, tol, pairs)
+        return dict(zip(pairs, ratios.tolist()))
 
 
 def verify_prop2(config: XnConfig, tol: Tolerance = DEFAULT_TOLERANCE) -> MenelausReport:

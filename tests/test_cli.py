@@ -218,6 +218,22 @@ def test_generate_rational_exact(tmp_path):
     assert all(t["residual"] == 0 for t in rep["triple_products"])
 
 
+def test_parser_built_once_per_process(tmp_path):
+    # the cached parser must not carry one call's options into the next
+    cli._build_parser.cache_clear()
+    out = tmp_path / "rat"
+    assert main(["generate", "--dim", "2", "--kind", "edge_points", "--rational",
+                 "--count", "1", "--seed", "5", "--out", str(out)]) == 0
+    src = str(out / "scenario-5-0.json")
+    exact, floats = tmp_path / "exact.json", tmp_path / "float.json"
+    assert main(["verify", "--input", src, "--exact", "--output", str(exact)]) == 0
+    assert main(["verify", "--input", src, "--output", str(floats)]) == 0
+    assert json.loads(exact.read_text())["exact"] is True
+    assert json.loads(floats.read_text())["exact"] is False
+    info = cli._build_parser.cache_info()
+    assert (info.misses, info.hits) == (1, 2)
+
+
 def test_generate_invalid_spec(tmp_path, capsys):
     assert main(["generate", "--geometry", "spherical", "--dim", "2",
                  "--kind", "balls", "--out", str(tmp_path)]) == 2

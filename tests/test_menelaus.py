@@ -1,25 +1,34 @@
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import mongekit.kernel as kernel
+import mongekit.menelaus as menelaus
+import mongekit.noneuclid as noneuclid
 from mongekit.errors import (
     BackendMixError,
     CoincidesWithVertex,
     DegenerateConfiguration,
+    DimensionMismatch,
     EqualWeights,
+    GeometryError,
     InvalidInput,
     NonCoplanar,
     NotOnLine,
     NotSpacelike,
 )
-from mongekit.kernel import Tolerance
+from mongekit.generators import GenSpec, gen_menelaus_case, gen_rational_case
+from mongekit.kernel import DEFAULT_TOLERANCE, Tolerance, fit_hyperplane, is_exact
 from mongekit.menelaus import (
     EdgePointSet,
     Homothety,
+    _exact_ratio,
+    _float_ratios,
     _menelaus_report,
     all_pairs,
     edge_points_from_weights,
@@ -27,6 +36,8 @@ from mongekit.menelaus import (
     monge_hyperplane_from_weights,
     signed_ratio,
 )
+from mongekit.noneuclid import HYPERBOLIC, SPHERICAL, verify_prop2
+from mongekit.scenario import EUCLIDEAN
 
 TRIANGLE = ((0.0, 0.0), (1.0, 0.0), (0.0, 1.0))
 
@@ -104,32 +115,77 @@ def test_signed_ratio_homothety_roundtrip(seed):
     assert got == pytest.approx(lam, rel=1e-9, abs=1e-9)
 
 
-def test_each_ratio_computed_once(monkeypatch):
-    import mongekit.menelaus as menelaus
-
-    calls = []
-
-    def counting(*args, **kwargs):
-        calls.append(kwargs.get("pair"))
-        return signed_ratio(*args, **kwargs)
-
-    monkeypatch.setattr(menelaus, "signed_ratio", counting)
-    for n in (2, 4):
+def _float_set(geometry, n):
+    """A positive float edge-point set on n+1 vertices in E^n, S^n or H^n."""
+    if geometry == EUCLIDEAN:
         vertices = ((0.0,) * n,) + tuple(
             tuple(float(k == m) for k in range(n)) for m in range(n)
         )
-        eps = edge_points_from_weights(vertices, tuple(float(2 ** k) for k in range(n + 1)))
+        return edge_points_from_weights(vertices, tuple(float(2 ** k) for k in range(n + 1)))
+    return gen_menelaus_case(GenSpec(dimension=n, seed=n, kind="edge_points", geometry=geometry))
+
+
+def test_each_ratio_computed_once(monkeypatch):
+    # one batch per set, holding every pair once and in sorted order
+    batches = []
+
+    def counting(batch):
+        def run(*args):
+            batches.append(list(args[-1]))
+            return batch(*args)
+        return run
+
+    monkeypatch.setattr(menelaus, "_float_ratios", counting(_float_ratios))
+    monkeypatch.setattr(noneuclid, "_xn_ratios", counting(noneuclid._xn_ratios))
+    for geometry in (EUCLIDEAN, SPHERICAL, HYPERBOLIC):
+        verify = menelaus_products if geometry == EUCLIDEAN else verify_prop2
+        for n in (2, 4):
+            eps = _float_set(geometry, n)
+            batches.clear()
+            assert verify(eps).verdict
+            assert batches == [all_pairs(n + 1)]
+
+
+def test_each_exact_ratio_computed_once(monkeypatch):
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(kwargs["pair"])
+        return _exact_ratio(*args, **kwargs)
+
+    monkeypatch.setattr(menelaus, "_exact_ratio", counting)
+    monkeypatch.setattr(menelaus, "_float_ratios", None)
+    for n in (2, 4):
+        eps = gen_rational_case(GenSpec(dimension=n, seed=n, kind="edge_points"))
         calls.clear()
         assert menelaus_products(eps).verdict
-        assert len(calls) == n * (n + 1) // 2
-        assert sorted(calls) == all_pairs(n + 1)
+        assert calls == all_pairs(n + 1)
+
+
+def test_one_backend_check_before_the_fit(monkeypatch):
+    eps = gen_rational_case(GenSpec(dimension=6, seed=1, kind="edge_points"))
+    counted = []
+    checked_before_fit = []
+
+    def counting(values):
+        counted.append(1)
+        return is_exact(values)
+
+    def fit(points, tol):
+        checked_before_fit.append(len(counted))
+        return fit_hyperplane(points, tol)
+
+    monkeypatch.setattr(kernel, "is_exact", counting)
+    monkeypatch.setattr(menelaus, "is_exact", counting)
+    monkeypatch.setattr(menelaus, "fit_hyperplane", fit)
+    assert menelaus_products(eps).verdict
+    assert checked_before_fit == [1]
 
 
 def test_backend_mix_raised_at_boundary(monkeypatch):
-    import mongekit.menelaus as menelaus
-
     calls = []
-    monkeypatch.setattr(menelaus, "signed_ratio", lambda *a, **k: calls.append(1))
+    monkeypatch.setattr(menelaus, "_exact_ratio", lambda *a, **k: calls.append(1))
+    monkeypatch.setattr(menelaus, "_float_ratios", lambda *a, **k: calls.append(1))
     vertices = ((Fraction(0), Fraction(0)), (Fraction(1), Fraction(0)), (Fraction(0), Fraction(1)))
     eps = edge_points_from_weights(vertices, (Fraction(1), Fraction(2), Fraction(3)))
     points = dict(eps.edge_points)
@@ -137,6 +193,80 @@ def test_backend_mix_raised_at_boundary(monkeypatch):
     with pytest.raises(BackendMixError):
         menelaus_products(EdgePointSet(vertices=vertices, edge_points=points))
     assert calls == []  # decided once for the whole set, before any pair
+
+
+def error_of(call):
+    """(class, message, pair) of the error ``call()`` raises, warnings as errors."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(GeometryError) as err:
+            call()
+    return type(err.value), str(err.value), err.value.pair
+
+
+def first_pair_error(eps):
+    """The error signed_ratio raises first over the pairs in sorted order."""
+    def each_pair():
+        for (i, j), b in sorted(eps.edge_points.items()):
+            signed_ratio(eps.vertices[i - 1], eps.vertices[j - 1], b, pair=(i, j))
+    return error_of(each_pair)
+
+
+TETRAHEDRON = ((0.0, 0.0, 0.0), (1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0))
+
+
+@pytest.mark.parametrize("faults,expected", [
+    ({(1, 3): "off", (2, 4): "vertex"}, (NotOnLine, (1, 3))),
+    ({(1, 3): "vertex", (2, 4): "off"}, (CoincidesWithVertex, (1, 3))),
+    ({(1, 3): "off", (2, 4): "short"}, (NotOnLine, (1, 3))),
+    ({(1, 4): "short", (2, 3): "off"}, (DimensionMismatch, (1, 4))),
+])
+def test_set_errors_match_first_pair_error(faults, expected):
+    eps = edge_points_from_weights(TETRAHEDRON, (1.0, 2.0, 4.0, 8.0))
+    points = dict(eps.edge_points)
+    for (i, j), fault in faults.items():
+        b = points[(i, j)]
+        if fault == "off":
+            points[(i, j)] = (b[0] + 0.25, b[1] - 0.5, b[2] + 1.0)
+        elif fault == "vertex":
+            points[(i, j)] = TETRAHEDRON[j - 1]  # b - a_j = 0: 0/0 for the ratio
+        else:
+            points[(i, j)] = b[:2]
+    bad = EdgePointSet(vertices=TETRAHEDRON, edge_points=points)
+    got = error_of(bad.validate)
+    assert got == first_pair_error(bad)
+    assert (got[0], got[2]) == expected
+    assert error_of(lambda: menelaus_products(bad)) == got
+
+
+def test_batch_errors_match_per_pair_calls():
+    # coinciding vertices cannot pass validate, so the batch is driven directly
+    a_i = np.array([[0.0, 0.0], [1.0, 1.0], [0.0, 0.0]])
+    a_j = np.array([[1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
+    b = np.array([[2.0, 0.0], [1.0, 1.0], [1.0, 1.0]])
+    pairs = [(1, 2), (1, 3), (2, 3)]
+    got = error_of(lambda: _float_ratios(a_i, a_j, b, DEFAULT_TOLERANCE, pairs))
+    assert got[0] is DegenerateConfiguration and got[2] == (1, 3)
+    assert got == error_of(lambda: [
+        signed_ratio(tuple(x), tuple(y), tuple(z), pair=p)
+        for x, y, z, p in zip(a_i, a_j, b, pairs)
+    ])
+
+
+SEEDS = st.integers(0, 2 ** 32 - 1)
+
+
+@given(SEEDS, st.integers(2, 8))
+@settings(max_examples=40, deadline=None)
+def test_batched_ratios_match_weight_ratios(seed, n):
+    rng = np.random.default_rng(seed)
+    vertices = tuple(tuple(rng.uniform(-10, 10, size=n)) for _ in range(n + 1))
+    diffs = np.asarray(vertices[1:]) - np.asarray(vertices[0])
+    assume(np.linalg.svd(diffs, compute_uv=False)[-1] > 1.0)
+    weights = tuple(rng.permutation(np.cumprod(rng.uniform(1.2, 1.3, size=n + 1))))
+    lambdas = edge_points_from_weights(vertices, weights).validate()
+    for (i, j), lam in lambdas.items():
+        assert lam == pytest.approx(weights[i - 1] / weights[j - 1], rel=1e-12)
 
 
 def test_integer_vertices_with_float_edge_points_use_tolerance():

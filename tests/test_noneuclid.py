@@ -1,8 +1,9 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from mongekit.errors import (
     AntipodalPoints,
@@ -11,14 +12,19 @@ from mongekit.errors import (
     DegenerateConfiguration,
     DimensionMismatch,
     EqualWeights,
+    GeometryError,
     InvalidInput,
     NotOnLine,
     NotTimelike,
 )
+from mongekit.generators import GenSpec, gen_menelaus_case
+from mongekit.kernel import DEFAULT_TOLERANCE
 from mongekit.noneuclid import (
     HYPERBOLIC,
     SPHERICAL,
     XnConfig,
+    _two_column_lstsq,
+    _xn_ratios,
     arc_contains,
     geodesic_distance,
     hyperboloid_point,
@@ -343,3 +349,117 @@ def test_boost_invariance(seed):
     assert moved_report.verdict == report.verdict
     for key, lam in report.lambdas.items():
         assert moved_report.lambdas[key] == pytest.approx(lam, rel=1e-8)
+
+
+def error_of(call):
+    """(class, message, pair) of the error ``call()`` raises, warnings as errors."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(GeometryError) as err:
+            call()
+    return type(err.value), str(err.value), err.value.pair
+
+
+def first_pair_error(config):
+    """The error xn_lambda raises first over the pairs in sorted order."""
+    def each_pair():
+        for (i, j), b in sorted(config.edge_points.items()):
+            xn_lambda(config.vertices[i - 1], config.vertices[j - 1], b, pair=(i, j))
+    return error_of(each_pair)
+
+
+S3 = tuple(sphere_point(row) for row in np.eye(4))
+H3 = tuple(hyperboloid_point(row) for row in (
+    (1.0, 0.0, 0.0, 0.0),
+    (math.cosh(0.5), math.sinh(0.5), 0.0, 0.0),
+    (math.cosh(0.5), 0.0, math.sinh(0.5), 0.0),
+    (math.cosh(0.5), 0.0, 0.0, math.sinh(0.5)),
+))
+
+
+def faulty_point(config, pair, fault):
+    i, j = pair
+    u, v = config.vertices[i - 1].as_array(), config.vertices[j - 1].as_array()
+    b = config.edge_points[pair].as_array()
+    make = sphere_point if config.geometry == SPHERICAL else hyperboloid_point
+    if fault == "vertex":
+        return config.vertices[j - 1]  # b = a_j: the ratio divides by |a_j ^ b| = 0
+    if fault == "antipode":
+        return sphere_point(-u)  # reaches the antipode of a_i and breaks arc order
+    if fault == "direction":
+        return sphere_point(-v)
+    if fault == "between":
+        w = u + v
+    else:  # "off": lift b out of the plane of a_i and a_j
+        w = b + 0.1 * np.linalg.svd(np.stack([u, v]))[2][-1]
+    scale = np.linalg.norm(w) if config.geometry == SPHERICAL else math.sqrt(-lorentz(w, w))
+    return make(w / scale)
+
+
+@pytest.mark.parametrize("vertices,faults,expected", [
+    (S3, {(1, 3): "antipode", (2, 4): "off"}, (AntipodalPoints, (1, 3), "arc endpoints")),
+    (S3, {(1, 2): "between", (1, 3): "vertex"}, (ArcOrderViolation, (1, 2), "not on the arc")),
+    (S3, {(1, 4): "direction", (3, 4): "vertex"}, (NotOnLine, (1, 4), "direction of a vertex")),
+    (S3, {(2, 3): "off", (2, 4): "antipode"}, (NotOnLine, (2, 3), "off the vertex line")),
+    (S3, {(1, 2): "vertex", (3, 4): "between"}, (CoincidesWithVertex, (1, 2), "coincides with a vertex")),
+    (H3, {(1, 3): "between", (2, 3): "off"}, (ArcOrderViolation, (1, 3), "not on the arc")),
+    (H3, {(1, 4): "off", (2, 4): "vertex"}, (NotOnLine, (1, 4), "off the vertex line")),
+])
+def test_set_errors_match_first_pair_error(vertices, faults, expected):
+    weights = (1.0, 0.5, 0.25, 0.125) if vertices is S3 else tuple(math.exp(-k) for k in range(4))
+    config = xn_edge_points_from_weights(vertices, weights)
+    points = dict(config.edge_points)
+    for pair, fault in faults.items():
+        points[pair] = faulty_point(config, pair, fault)
+    bad = XnConfig(vertices=vertices, edge_points=points)
+    got = error_of(bad.validate)
+    assert got == first_pair_error(bad)
+    error, pair, words = expected
+    assert (got[0], got[2]) == (error, pair) and words in got[1]
+    assert error_of(lambda: verify_prop2(bad)) == got
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from([SPHERICAL, HYPERBOLIC]), st.integers(2, 8), st.integers(0, 2 ** 32 - 1))
+def test_batched_ratios_match_distance_ratios(geometry, n, seed):
+    # a_j lies on the arc from a_i to b, so with t = |a_i b| and d = |a_i a_j|
+    # the ratio is sin t / sin(t - d) (sinh on H^n) and t - d = |a_j b|
+    config = gen_menelaus_case(GenSpec(dimension=n, seed=seed, kind="edge_points", geometry=geometry))
+    f = math.sin if geometry == SPHERICAL else math.sinh
+    for (i, j), lam in config.validate().items():
+        b = config.edge_points[(i, j)]
+        t, rest = geodesic_distance(config.vertices[i - 1], b), geodesic_distance(config.vertices[j - 1], b)
+        assert lam == pytest.approx(f(t) / f(rest), rel=1e-12)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1))
+def test_two_column_qr_matches_lstsq(seed):
+    rng = np.random.default_rng(seed)
+    d = int(rng.integers(3, 10))
+    u, v = rng.normal(size=(2, d))
+    m = np.stack([u, v], axis=1)
+    assume(np.linalg.svd(m, compute_uv=False)[-1] > 0.1)
+    x = rng.normal() * u + rng.normal() * v + rng.normal(size=d) * 10.0 ** rng.uniform(-12, 0)
+    alpha, beta, residual = _two_column_lstsq(u[None], v[None], x[None])
+    sol = np.linalg.lstsq(m, x, rcond=None)[0]
+    scale = 1e-12 * (1.0 + np.linalg.norm(sol))
+    assert alpha[0] == pytest.approx(sol[0], abs=scale)
+    assert beta[0] == pytest.approx(sol[1], abs=scale)
+    assert residual[0] == pytest.approx(np.linalg.norm(m @ sol - x), abs=scale)
+
+
+@pytest.mark.parametrize("second,expected", [
+    ((E1, E2, sphere_point((0.0, 1.0, 1.0) / np.sqrt(2))), NotOnLine),
+    ((E1, sphere_point((-1.0, 0.0, 0.0)), E2), AntipodalPoints),
+])
+def test_batch_errors_match_per_pair_calls(second, expected):
+    # antipodal vertices cannot pass validate, so the batch is driven directly;
+    # their row makes the decomposition divide by zero, which must not warn
+    far = sphere_point((-1.0, 1.0, 0.0) / np.sqrt(2))
+    rows = [(E1, E2, far), second, (E1, sphere_point((-1.0, 0.0, 0.0)), E3)]
+    pairs = [(1, 2), (1, 3), (2, 3)]
+    u, v, x = (np.stack([r[k].as_array() for r in rows]) for k in range(3))
+    got = error_of(lambda: _xn_ratios(SPHERICAL, u, v, x, DEFAULT_TOLERANCE, pairs))
+    assert (got[0], got[2]) == (expected, (1, 3))
+    assert got == error_of(lambda: [xn_lambda(*r, pair=p) for r, p in zip(rows, pairs)])
