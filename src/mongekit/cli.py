@@ -39,6 +39,7 @@ from .scenario import (
     atomic_write_json,
     atomic_write_text,
     edge_point_verifier,
+    json_text,
     parse_scenario,
     scenario_to_object,
     verify_scenario,
@@ -50,8 +51,7 @@ DEFAULT_TOLERANCE_VALUE = 1e-9
 
 
 def _emit_error(obj):
-    json.dump({"error": obj}, sys.stdout)
-    sys.stdout.write("\n")
+    sys.stdout.write(json_text({"error": obj}))
 
 
 def _error_object(e):
@@ -97,8 +97,7 @@ def cmd_verify(args):
     if args.output:
         atomic_write_json(args.output, report)
     else:
-        json.dump(report, sys.stdout, indent=2)
-        sys.stdout.write("\n")
+        sys.stdout.write(json_text(report))
     verdict = report["verdict"]
     wanted = scenario.expect if scenario.expect is not None else True
     return 0 if verdict == wanted else 1

@@ -30,6 +30,7 @@ from .kernel import (
     DEFAULT_TOLERANCE,
     Hyperplane,
     Tolerance,
+    _bbox_diameter,
     _exact_nullspace,
     fit_hyperplane,
     is_exact,
@@ -107,7 +108,9 @@ class MongeReport:
 
 
 def _canonical_plane_through(points, span, exact):
-    """Some hyperplane containing the low-dimensional span of ``points``."""
+    """Some hyperplane containing the low-dimensional span of ``points``, and
+    its residual: the largest deviation over the bounding-box diameter, as
+    fit_hyperplane measures it."""
     if exact:
         base = points[0]
         if span == 0:
@@ -127,9 +130,11 @@ def _canonical_plane_through(points, span, exact):
         normal = vt[-1]
     plane = Hyperplane.build(tuple(normal), float(normal @ pts.mean(axis=0)))
     dev = max(plane.distance(p) for p in pts)
-    diam = float(np.linalg.norm(pts.max(axis=0) - pts.min(axis=0)))
-    residual = 0.0 if dev == 0.0 else dev / max(diam, 1.0)
-    return plane, residual
+    # span 0: the points are one point within tolerance, so their spread is
+    # noise, and dev / diam measures noise against itself
+    if span == 0 or dev == 0.0:
+        return plane, 0.0
+    return plane, dev / _bbox_diameter(pts)
 
 
 def run_monge(config: MongeConfig, tol: Tolerance = DEFAULT_TOLERANCE) -> MongeReport:

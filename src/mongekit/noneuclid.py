@@ -270,11 +270,16 @@ def _xn_ratios(g, u, v, x, tol: Tolerance, pairs):
             ((_chords(g, x, u) <= near) | (_chords(g, x, v) <= near),
              CoincidesWithVertex, "edge point coincides with a vertex"),
             (residual > near, NotOnLine, "edge point is off the vertex line"),
-            (alpha == 0.0, NotOnLine, "edge point is in the direction of a vertex"),
         ]
         if g == SPHERICAL:
-            checks.append((_row_norms(u + x) <= ANTIPODAL_GUARD, AntipodalPoints,
-                           "arc endpoints are (nearly) antipodal"))
+            # b = -a_j has alpha = 0 only up to rounding, so the chord
+            # |b + a_j| decides it; on H^n no point is a negative multiple of another
+            checks += [
+                (_row_norms(v + x) <= ANTIPODAL_GUARD, NotOnLine,
+                 "edge point is in the direction of a vertex"),
+                (_row_norms(u + x) <= ANTIPODAL_GUARD, AntipodalPoints,
+                 "arc endpoints are (nearly) antipodal"),
+            ]
         checks.append((~((alpha < 0.0) & (0.0 < beta)), ArcOrderViolation,
                        "second vertex is not on the arc to the edge point"))
         _raise_first(pairs, checks)

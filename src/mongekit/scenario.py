@@ -19,6 +19,13 @@ Numbers are JSON numbers, or strings "p/q" for exact rationals.  In
 exact mode only integers and "p/q" strings are accepted; in float mode
 everything is coerced to float.  Reports echo the scenario they scored,
 so a report can be re-verified byte-for-byte.
+
+Reports and scenario corpora are written as one line of compact JSON,
+``json.dumps(obj)`` plus a newline (json_text), the form error objects
+on stdout take.  CPython encodes it in C; with ``indent`` it would fall
+back to its pure-Python encoder, at about three times the cost.  Key
+order and float repr are fixed, so the bytes are deterministic;
+pretty-print a file with ``python -m json.tool``.
 """
 
 from __future__ import annotations
@@ -55,6 +62,7 @@ __all__ = [
     "verify_scenario",
     "encode_number",
     "edge_point_verifier",
+    "json_text",
     "atomic_write_text",
     "atomic_write_json",
 ]
@@ -363,6 +371,15 @@ def atomic_write_text(path, text):
         raise
 
 
+def json_text(obj):
+    """``obj`` as one line of compact JSON plus a newline."""
+    return json.dumps(obj) + "\n"
+
+
 def atomic_write_json(path, obj):
-    """Write ``obj`` as indented JSON plus a newline, atomically."""
-    atomic_write_text(path, json.dumps(obj, indent=2) + "\n")
+    """Write ``obj`` as json_text, one line of compact JSON, atomically.
+
+    The whole document is encoded before the temp file is opened, so an
+    object that cannot be encoded leaves no file behind.
+    """
+    atomic_write_text(path, json_text(obj))

@@ -98,11 +98,18 @@ def test_verify_missing_and_malformed_files(tmp_path, capsys):
 def test_verify_stdout_report(tmp_path, capsys):
     src = write_scenario(tmp_path / "s.json", THREE_CIRCLES)
     assert main(["verify", "--input", src]) == 0
-    report = json.loads(capsys.readouterr().out)
+    out = capsys.readouterr().out
+    assert out.endswith("}\n") and out.count("\n") == 1
+    report = json.loads(out)
     assert report["verdict"] is True
     assert [c["point"] for c in report["centers"]] == [
         [18.0, 0.0], [0.0, 9.0], [-6.0, 12.0]
     ]
+    # the same one-line document as --output writes, up to the timing
+    code, written = run_verify(tmp_path, THREE_CIRCLES)
+    assert code == 0
+    del report["elapsed_seconds"], written["elapsed_seconds"]
+    assert written == report
 
 
 def test_report_roundtrip(tmp_path):

@@ -163,9 +163,31 @@ def test_halfplane_degenerate_variant_all_centers_coincide():
     assert report.degenerate
     assert report.span_dim == 0
     assert report.verdict
+    assert report.residual == 0.0  # one point: its spread is rounding only
     for center in report.centers.values():
         assert center == pytest.approx((0.0, 0.0), abs=1e-12)
     assert report.hyperplane is not None
+
+
+def test_degenerate_residual_does_not_depend_on_scale():
+    # collinear ball centers put the homothety centers on one line in E^3,
+    # and the residual of the plane through it is rounding
+    direction = np.array([0.3, 0.7, 0.1])
+
+    def report(scale):
+        balls = [Ball(tuple(scale * (0.1 + t * direction)), scale * r)
+                 for t, r in ((0.0, 3.0), (1.3, 2.0), (2.9, 1.1), (4.1, 0.7))]
+        return run_monge(MongeConfig.build(balls))
+
+    base = report(1.0)
+    assert base.degenerate and base.span_dim == 1 and base.verdict
+    assert 0.0 < base.residual < 1e-15
+    for scale in (1e-3, 1e3):
+        scaled = report(scale)
+        assert (scaled.degenerate, scaled.span_dim, scaled.verdict) == (True, 1, True)
+        assert scaled.residual == pytest.approx(base.residual, abs=1e-15)
+    # a power of two scales every rounding exactly
+    assert report(2.0 ** -10).residual == report(2.0 ** 10).residual == base.residual
 
 
 def test_halfplane_exact_pipeline():

@@ -419,6 +419,25 @@ def test_set_errors_match_first_pair_error(vertices, faults, expected):
     assert error_of(lambda: verify_prop2(bad)) == got
 
 
+def test_antipode_of_second_vertex_is_not_on_line():
+    """b = -a_j is a vertex direction whatever the rounding of alpha."""
+    message = "edge point is in the direction of a vertex"
+    rng = np.random.default_rng(8)
+    a_i, a_j, pairs = [], [], []
+    for k in range(200):
+        a_i.append(random_unit(rng, 9))
+        a_j.append(random_unit(rng, 9))
+        pairs.append((1, k + 2))
+        got = error_of(lambda: xn_lambda(sphere_point(a_i[-1]), sphere_point(a_j[-1]),
+                                         sphere_point(-a_j[-1]), pair=pairs[-1]))
+        assert got == (NotOnLine, f"pair {pairs[-1]}: {message}", pairs[-1])
+    u, v = np.asarray(a_i), np.asarray(a_j)
+    for k in (0, 100, 199):
+        got = error_of(lambda: _xn_ratios(SPHERICAL, u[k:], v[k:], -v[k:],
+                                          DEFAULT_TOLERANCE, pairs[k:]))
+        assert got == (NotOnLine, f"pair {pairs[k]}: {message}", pairs[k])
+
+
 @settings(max_examples=30, deadline=None)
 @given(st.sampled_from([SPHERICAL, HYPERBOLIC]), st.integers(2, 8), st.integers(0, 2 ** 32 - 1))
 def test_batched_ratios_match_distance_ratios(geometry, n, seed):

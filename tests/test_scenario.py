@@ -1,10 +1,18 @@
 import json
 import os
+import re
 from fractions import Fraction
 
 import pytest
 
 from mongekit.errors import ScenarioError
+from mongekit.generators import (
+    GenSpec,
+    gen_ball_config,
+    gen_menelaus_case,
+    gen_rational_case,
+    gen_vertex_config,
+)
 from mongekit.menelaus import EdgePointSet, edge_points_from_weights
 from mongekit.noneuclid import sphere_point, xn_edge_points_from_weights
 from mongekit.scenario import (
@@ -15,6 +23,8 @@ from mongekit.scenario import (
     verify_scenario,
 )
 from mongekit.shapes import Ball, HalfspaceSet, VertexSet
+
+from test_shapes import halfplane_family_exact
 
 
 BALLS = {
@@ -191,12 +201,35 @@ def test_verify_scenario_report_fields():
     assert echoed["hyperplane"] == report["hyperplane"]
 
 
+def _written_report(kind):
+    """(report, exact) for one scenario of each geometry and shape kind."""
+    if kind in ("euclidean", "spherical", "hyperbolic"):
+        spec = GenSpec(dimension=3, seed=5, kind="edge_points", geometry=kind)
+        return gen_menelaus_case(spec, positive=True, index=0), False
+    if kind == "rational":
+        spec = GenSpec(dimension=3, seed=5, kind="edge_points")
+        return gen_rational_case(spec, positive=True, index=0), True
+    if kind == "balls":
+        return gen_ball_config(GenSpec(dimension=3, seed=5, kind=kind), index=0), False
+    if kind == "vertex_sets":
+        return gen_vertex_config(GenSpec(dimension=2, seed=5, kind=kind), index=0), False
+    return [halfplane_family_exact(i) for i in (1, 2, 3)], True
+
+
 def test_atomic_write_json(tmp_path):
     target = tmp_path / "out.json"
-    atomic_write_json(str(target), {"a": 1})
-    assert json.loads(target.read_text()) == {"a": 1}
+    for kind in ("euclidean", "rational", "spherical", "hyperbolic",
+                 "balls", "vertex_sets", "halfspaces"):
+        payload, exact = _written_report(kind)
+        report = verify_scenario(parse_scenario(scenario_to_object(payload), exact=exact))
+        assert report["verdict"] is True and report["exact"] is exact
+        atomic_write_json(str(target), report)
+        text = target.read_text()
+        assert text == json.dumps(report) + "\n" and text.count("\n") == 1
+        assert json.loads(text) == report
+        assert bool(re.search(r'"-?\d+/\d+"', text)) is exact  # rationals stay "p/q"
     atomic_write_json(str(target), {"a": 2})
-    assert json.loads(target.read_text()) == {"a": 2}
+    assert target.read_text() == '{"a": 2}\n'
     assert [p.name for p in tmp_path.iterdir()] == ["out.json"]
 
 
