@@ -75,8 +75,8 @@ def _resolve_tolerance(value):
                 ) from None
         else:
             value = DEFAULT_TOLERANCE_VALUE
-    if not value > 0:
-        raise ScenarioError("tolerance must be positive")
+    if not 0 < value < float("inf"):
+        raise ScenarioError("tolerance must be finite and positive")
     return Tolerance(abs=value, rel=value)
 
 

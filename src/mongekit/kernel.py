@@ -10,6 +10,13 @@ Exact elimination runs on integers: each rational row is scaled by the
 lcm of its denominators and reduced by fraction-free (Bareiss)
 elimination, so rank, null space, solve and hyperplane fit never add or
 multiply Fractions.  Fractions are built only for the values handed back.
+
+Float fits factorise once: one SVD of the centered rows gives both the
+rank (the affine span dimension) and the null direction (the normal), with
+no special case for m = n points.  Each backend has one canonical form for
+a normal, _normalize_float (largest entry 1) and _normalize_exact (a
+primitive integer vector from _cleared and one gcd); the other modules
+reuse these rather than keeping their own.
 """
 
 from __future__ import annotations
@@ -49,6 +56,8 @@ class Tolerance:
     rel: float = 1e-9
 
     def __post_init__(self):
+        if not (math.isfinite(self.abs) and math.isfinite(self.rel)):
+            raise InvalidInput("tolerance components must be finite")
         if self.abs < 0 or self.rel < 0:
             raise InvalidInput("tolerance components must be non-negative")
         if self.abs == 0 and self.rel == 0:
@@ -227,14 +236,24 @@ def _homogeneous_echelon(points):
 # ----------------------------------------------------------------------
 # rank and affine span
 
+def _rank_from(s: np.ndarray, tol: Tolerance) -> int:
+    """Numerical rank from descending singular values ``s``: the count
+    above max(tol.abs, tol.rel * sigma_1)."""
+    if s.size == 0 or s[0] == 0.0:
+        return 0
+    return int(np.sum(s > max(tol.abs, tol.rel * float(s[0]))))
+
+
 def _float_rank(a: np.ndarray, tol: Tolerance) -> int:
     if a.size == 0:
         return 0
-    s = np.linalg.svd(a, compute_uv=False)
-    if s.size == 0 or s[0] == 0.0:
-        return 0
-    thr = max(tol.abs, tol.rel * float(s[0]))
-    return int(np.sum(s > thr))
+    return _rank_from(np.linalg.svd(a, compute_uv=False), tol)
+
+
+def _null_direction(rows: np.ndarray, tol: Tolerance):
+    """(rank, last right singular vector) of float ``rows``, from one SVD."""
+    _, s, vt = np.linalg.svd(rows)
+    return _rank_from(s, tol), vt[-1]
 
 
 def rank(rows, tol: Tolerance = DEFAULT_TOLERANCE) -> int:
@@ -307,22 +326,12 @@ def _normalize_float(normal, offset):
 
 
 def _normalize_exact(normal, offset):
-    normal = [Fraction(x) for x in normal]
-    offset = Fraction(offset)
-    if all(x == 0 for x in normal):
+    ints, _ = _cleared([*normal, offset])
+    lead = next((v for v in ints[:-1] if v), 0)
+    if not lead:
         raise InvalidInput("hyperplane normal must be nonzero")
-    denom_lcm = 1
-    for f in normal + [offset]:
-        denom_lcm = denom_lcm * f.denominator // math.gcd(denom_lcm, f.denominator)
-    ints = [int(f * denom_lcm) for f in normal] + [int(offset * denom_lcm)]
-    g = 0
-    for v in ints:
-        g = math.gcd(g, abs(v))
-    ints = [v // g for v in ints]
-    lead = next(v for v in ints[:-1] if v != 0)
-    if lead < 0:
-        ints = [-v for v in ints]
-    return tuple(Fraction(v) for v in ints[:-1]), Fraction(ints[-1])
+    g = math.gcd(*ints) if lead > 0 else -math.gcd(*ints)
+    return tuple(Fraction(v // g) for v in ints[:-1]), Fraction(ints[-1] // g)
 
 
 @dataclass(frozen=True)
@@ -378,45 +387,35 @@ def _fit_exact(pts):
     # (p, 1) @ (normal, -offset) = 0 for every point p
     free = next(c for c in range(n + 1) if c not in pivots)
     u = _null_vector(echelon, pivots, free)
-    return Hyperplane.build(u[:n], -u[n]), Fraction(0)
+    return Hyperplane(*_normalize_exact(u[:n], -u[n])), Fraction(0)
 
 
 def _fit_float(a: np.ndarray, tol: Tolerance):
-    m, n = a.shape
-    span = _float_rank(a[1:] - a[0], tol) if m > 1 else 0
+    n = a.shape[1]
+    centroid = a.mean(axis=0)
+    span, normal = _null_direction(a - centroid, tol)
     if span < n - 1:
         raise DegenerateConfiguration(
             f"points span affine dimension {span} < {n - 1}", span_dim=span
         )
-    if m == n:
-        # interpolate: null direction of the homogeneous system [x | -1]
-        hom = np.hstack([a, -np.ones((m, 1))])
-        _, _, vt = np.linalg.svd(hom)
-        u = vt[-1]
-        normal, offset = u[:n], u[n]
-    else:
-        centroid = a.mean(axis=0)
-        _, _, vt = np.linalg.svd(a - centroid)
-        normal = vt[-1]
-        offset = float(normal @ centroid)
-    plane = Hyperplane.build(normal, offset)
-    nrm = math.sqrt(sum(float(x) ** 2 for x in plane.normal))
-    dev = np.abs(a @ np.asarray(plane.normal, dtype=float) - float(plane.offset)) / nrm
+    plane = Hyperplane(*_normalize_float(normal, float(normal @ centroid)))
+    nrm = math.sqrt(sum(x ** 2 for x in plane.normal))
+    dev = np.abs(a @ np.asarray(plane.normal) - plane.offset) / nrm
     maxdev = float(dev.max())
     if maxdev == 0.0:
         return plane, 0.0
-    diam = _bbox_diameter(a)
-    return plane, maxdev / diam
+    return plane, maxdev / _bbox_diameter(a)
 
 
 def fit_hyperplane(points, tol: Tolerance = DEFAULT_TOLERANCE):
     """Best containing hyperplane of ``points`` plus a relative residual.
 
-    With m == n points the hyperplane interpolates them exactly; with
-    m > n it is the orthogonal least-squares fit (smallest singular
-    direction about the centroid).  The residual is the largest point
-    deviation divided by the bounding-box diameter.  The exact backend
-    returns residual 0 or raises NonCoplanar.
+    On the float backend one SVD of the centered rows decides both: their
+    rank is the affine span dimension, and their smallest singular
+    direction is the orthogonal least-squares normal, which interpolates
+    the points when there are only n of them (no special case).  The
+    residual is the largest point deviation divided by the bounding-box
+    diameter.  The exact backend returns residual 0 or raises NonCoplanar.
     """
     pts = list(points)
     if not pts:

@@ -40,6 +40,8 @@ from .kernel import (
     _affinely_independent,
     _cleared,
     _exact_solve,
+    _normalize_exact,
+    _normalize_float,
     affinely_independent,
     fit_hyperplane,
     is_exact,
@@ -329,7 +331,7 @@ def monge_hyperplane_from_weights(vertices, weights, tol: Tolerance = DEFAULT_TO
         coeffs, const = sol[:n], sol[n]
         if all(c == 0 for c in coeffs):
             raise EqualWeights("weights admit no sloped functional")
-        return Hyperplane.build(coeffs, -const)
+        return Hyperplane(*_normalize_exact(coeffs, -const))
     a = np.asarray([[float(x) for x in v] for v in vertices])
     m = np.hstack([a, np.ones((n + 1, 1))])
     try:
@@ -339,4 +341,4 @@ def monge_hyperplane_from_weights(vertices, weights, tol: Tolerance = DEFAULT_TO
     coeffs, const = sol[:n], float(sol[n])
     if float(np.linalg.norm(coeffs)) <= tol.scaled(abs(const)):
         raise EqualWeights("weights admit no sloped functional")
-    return Hyperplane.build(tuple(coeffs), -const)
+    return Hyperplane(*_normalize_float(coeffs, -const))

@@ -32,6 +32,9 @@ from .kernel import (
     Tolerance,
     _bbox_diameter,
     _exact_nullspace,
+    _normalize_exact,
+    _normalize_float,
+    _null_direction,
     fit_hyperplane,
     is_exact,
 )
@@ -107,7 +110,7 @@ class MongeReport:
     verdict: bool
 
 
-def _canonical_plane_through(points, span, exact):
+def _canonical_plane_through(points, span, exact, tol: Tolerance):
     """Some hyperplane containing the low-dimensional span of ``points``, and
     its residual: the largest deviation over the bounding-box diameter, as
     fit_hyperplane measures it."""
@@ -119,16 +122,15 @@ def _canonical_plane_through(points, span, exact):
             diffs = [[Fraction(x) - Fraction(b) for x, b in zip(p, base)] for p in points[1:]]
             normal = _exact_nullspace(diffs, len(base))[0]
         offset = sum(a * Fraction(x) for a, x in zip(normal, base))
-        return Hyperplane.build(normal, offset), Fraction(0)
+        return Hyperplane(*_normalize_exact(normal, offset)), Fraction(0)
     pts = np.asarray([[float(x) for x in p] for p in points])
+    centroid = pts.mean(axis=0)
     if span == 0:
         normal = np.zeros(pts.shape[1])
         normal[0] = 1.0
     else:
-        centered = pts - pts.mean(axis=0)
-        _, _, vt = np.linalg.svd(centered)
-        normal = vt[-1]
-    plane = Hyperplane.build(tuple(normal), float(normal @ pts.mean(axis=0)))
+        normal = _null_direction(pts - centroid, tol)[1]
+    plane = Hyperplane(*_normalize_float(normal, float(normal @ centroid)))
     dev = max(plane.distance(p) for p in pts)
     # span 0: the points are one point within tolerance, so their spread is
     # noise, and dev / diam measures noise against itself
@@ -170,7 +172,7 @@ def run_monge(config: MongeConfig, tol: Tolerance = DEFAULT_TOLERANCE) -> MongeR
             degenerate=False, span_dim=None, verdict=False,
         )
     except DegenerateConfiguration as e:
-        plane, residual = _canonical_plane_through(points, e.span_dim, exact)
+        plane, residual = _canonical_plane_through(points, e.span_dim, exact, tol)
         return MongeReport(
             centers=centers, ratios=ratios, hyperplane=plane, residual=residual,
             degenerate=True, span_dim=e.span_dim, verdict=True,

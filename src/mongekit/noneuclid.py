@@ -39,7 +39,7 @@ from .errors import (
     NotSpacelike,
     NotTimelike,
 )
-from .kernel import DEFAULT_TOLERANCE, Tolerance, _float_rank
+from .kernel import DEFAULT_TOLERANCE, Tolerance, _float_rank, _normalize_float, _null_direction
 from .menelaus import (
     MenelausReport,
     _check_weights,
@@ -313,13 +313,6 @@ def xn_independent(points, tol: Tolerance = DEFAULT_TOLERANCE) -> bool:
     return _float_rank(m, tol) == len(points)
 
 
-def _normalize_max_entry(w):
-    k = int(np.argmax(np.abs(w)))
-    if w[k] == 0.0:
-        raise InvalidInput("hyperplane normal must be nonzero")
-    return w / w[k]
-
-
 @dataclass(frozen=True)
 class XnHyperplane:
     """Section {x : B(w, x) = 0} with the largest normal entry scaled to 1."""
@@ -334,9 +327,12 @@ class XnHyperplane:
 def xn_hyperplane_fit(points, tol: Tolerance = DEFAULT_TOLERANCE):
     """Least-squares hyperplane section through ambient points.
 
-    Returns (hyperplane, residual) where residual is the largest |B(w, x)|
-    over the points with w in canonical scaling.  Needs the points to span
-    at least dimension n; the hyperboloid normal must come out spacelike.
+    One SVD of the rows (with the time coordinate negated on H^n, so that
+    B(w, x) is a plain dot product) gives both their rank and the normal w,
+    the last right singular vector.  Returns (hyperplane, residual) where
+    residual is the largest |B(w, x)| over the points with w in canonical
+    scaling.  Needs the points to span at least dimension n; the
+    hyperboloid normal must come out spacelike.
     """
     if not points:
         raise InvalidInput("need at least one point")
@@ -346,11 +342,10 @@ def xn_hyperplane_fit(points, tol: Tolerance = DEFAULT_TOLERANCE):
     if g == HYPERBOLIC:
         rows = rows.copy()
         rows[:, 0] = -rows[:, 0]
-    rk = _float_rank(rows, tol)
+    rk, w = _null_direction(rows, tol)
     if rk < n:
         raise DegenerateConfiguration(f"points span rank {rk} < {n}, section not determined")
-    _, _, vt = np.linalg.svd(rows)
-    w = _normalize_max_entry(vt[-1])
+    w = np.asarray(_normalize_float(w, 0.0)[0])
     if g == HYPERBOLIC and _lorentz_dot(w, w) <= 0:
         raise NotSpacelike("fitted section normal is not spacelike")
     residual = float(np.max(np.abs(rows @ w)))

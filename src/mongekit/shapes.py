@@ -5,8 +5,9 @@ usually polytope vertices) and HalfspaceSet (intersection of closed half
 spaces, possibly unbounded).  detect_homothety(src, dst) finds the unique
 homothety with ratio above 1 mapping src onto dst, or explains why there
 is none.  All shapes work on both scalar backends; each shape classifies
-its data (exact or float) once, on first use.  Half-space feasibility is
-probed with an LP on a float copy of the data.
+its data (exact or float) once: a half-space set while it canonicalises its
+constraints, the others on first use.  Half-space feasibility is probed
+with an LP on a float copy of the data.
 
 Every detection costs O(m) per pair beside the matching: a ball's ratio
 is its radius ratio, a vertex set's is the square root of its second
@@ -41,8 +42,10 @@ from .errors import (
 from .kernel import (
     DEFAULT_TOLERANCE,
     Tolerance,
+    _cleared,
     _exact_solve,
     _float_rank,
+    _rank_from,
     is_exact,
 )
 from .menelaus import Homothety
@@ -62,7 +65,8 @@ __all__ = [
 class _Shape:
     @cached_property
     def _exact(self):
-        """True for int/Fraction data; classified once, on first use."""
+        """True for int/Fraction data; classified once, on first use (a
+        HalfspaceSet sets it while it canonicalises its constraints)."""
         return is_exact(self._data())
 
 
@@ -123,18 +127,12 @@ def _unit_normal_float(normal, offset):
 
 
 def _primitive_normal_exact(normal, offset):
-    normal = [Fraction(x) for x in normal]
-    if all(x == 0 for x in normal):
+    ints, den = _cleared(normal)
+    g = math.gcd(*ints)
+    if not g:
         raise InvalidInput("half-space normal must be nonzero")
-    denom_lcm = 1
-    for f in normal:
-        denom_lcm = denom_lcm * f.denominator // math.gcd(denom_lcm, f.denominator)
-    ints = [int(f * denom_lcm) for f in normal]
-    g = 0
-    for v in ints:
-        g = math.gcd(g, abs(v))
-    scale = Fraction(denom_lcm, g)  # positive: orientation preserved
-    return tuple(Fraction(v // g) for v in ints), Fraction(offset) * scale
+    # den / g > 0: orientation preserved
+    return tuple(Fraction(v // g) for v in ints), Fraction(offset) * Fraction(den, g)
 
 
 @dataclass(frozen=True)
@@ -150,19 +148,16 @@ class HalfspaceSet(_Shape):
     constraints: tuple
 
     def __post_init__(self):
-        canon = []
-        for c in self.constraints:
-            if isinstance(c, Halfspace):
-                n, d = c.normal, c.offset
-            else:
-                n, d = c
-            if is_exact([list(n), d]):
-                n, d = _primitive_normal_exact(n, d)
-            else:
-                n, d = _unit_normal_float(n, d)
-            canon.append(Halfspace(normal=n, offset=d))
-        if not canon:
+        given = [(c.normal, c.offset) if isinstance(c, Halfspace) else c
+                 for c in self.constraints]
+        if not given:
             raise InvalidInput("half-space set must be non-empty")
+        # one backend for the whole list: integer constraints beside float
+        # ones are float data
+        exact = is_exact([[list(n), d] for n, d in given])
+        canonical = _primitive_normal_exact if exact else _unit_normal_float
+        canon = [Halfspace(*canonical(n, d)) for n, d in given]
+        object.__setattr__(self, "_exact", exact)
         if len({len(h.normal) for h in canon}) > 1:
             raise DimensionMismatch("constraint normals have inconsistent dimensions")
         if len({(h.normal, h.offset) for h in canon}) != len(canon):
@@ -434,9 +429,9 @@ def _halfspaceset_map(src: HalfspaceSet, dst: HalfspaceSet, tol: Tolerance,
         [[float(d_from)] + [float(x) for x in normal] for normal, d_from, _ in matched]
     )
     rhs = np.asarray([float(d_to) for _, _, d_to in matched])
-    if _float_rank(rows, tol) < n + 1:
+    sol, _, _, sing = np.linalg.lstsq(rows, rhs, rcond=None)
+    if _rank_from(sing, tol) < n + 1:
         raise NonUniqueHomothety("constraints do not pin down a unique homothety")
-    sol, *_ = np.linalg.lstsq(rows, rhs, rcond=None)
     scale = max(1.0, float(np.abs(rhs).max()))
     if float(np.max(np.abs(rows @ sol - rhs))) > tol.scaled(scale):
         raise NotHomothetic("no homothety maps the constraints onto each other")

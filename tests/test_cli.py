@@ -180,6 +180,23 @@ def test_tolerance_env_override(tmp_path, monkeypatch, capsys):
     assert main(["verify", "--input", src]) == 2
 
 
+@pytest.mark.parametrize("flag, env", [
+    ("inf", None), ("nan", None), ("-inf", None), (None, "inf"), (None, "nan"),
+])
+def test_non_finite_tolerance_rejected(tmp_path, monkeypatch, capsys, flag, env):
+    assert main(["generate", "--kind", "edge_points", "--dim", "3", "--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+    if env is not None:
+        monkeypatch.setenv("MONGE_TOLERANCE", env)
+    extra = [f"--tolerance={flag}"] if flag is not None else []
+    src = str(tmp_path / "scenario-0-0.json")
+    assert main(["verify", "--input", src, *extra]) == 2
+    err = json.loads(capsys.readouterr().out)["error"]
+    assert err["code"] == "ScenarioError"
+    assert err["message"] == "tolerance must be finite and positive"
+    assert main(["verify", "--input", src, "--tolerance", "1e-9"]) == 0
+
+
 def test_generate_deterministic(tmp_path):
     out1, out2 = tmp_path / "a", tmp_path / "b"
     args = ["generate", "--dim", "3", "--kind", "edge_points",

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -252,6 +253,28 @@ def test_fit_hyperplane_interpolates_n_points():
     assert plane.evaluate((1.0, 1.0)) == pytest.approx(0.0, abs=1e-12)
 
 
+@pytest.mark.parametrize("points", [
+    [(0.0, 0.0), (2.0, 2.0)],                                   # m = n: interpolates
+    [(18.0, 0.0), (0.0, 9.0), (-6.0, 12.0)],
+    [tuple(p) for p in np.random.default_rng(0).normal(size=(10, 4))],  # off any plane
+    [(1.0, 1.0), (1.0, 1.0), (1.0, 1.0)],                       # degenerate
+])
+def test_one_factorisation_per_float_fit(monkeypatch, points):
+    calls = []
+    svd = np.linalg.svd
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting)
+    try:
+        fit_hyperplane(points)
+    except DegenerateConfiguration:
+        pass
+    assert len(calls) == 1
+
+
 def test_fit_hyperplane_degenerate_and_noncoplanar():
     with pytest.raises(DegenerateConfiguration) as err:
         fit_hyperplane([(1.0, 1.0), (1.0, 1.0), (1.0, 1.0)])
@@ -295,4 +318,11 @@ def test_tolerance_validation():
         Tolerance(abs=0.0, rel=0.0)
     with pytest.raises(InvalidInput):
         Tolerance(abs=-1.0)
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(InvalidInput, match="finite"):
+            Tolerance(abs=bad, rel=bad)
+        with pytest.raises(InvalidInput, match="finite"):
+            Tolerance(abs=1e-9, rel=bad)
+        with pytest.raises(InvalidInput, match="finite"):
+            Tolerance(abs=bad, rel=1e-9)
     assert Tolerance(1e-6, 1e-6).scaled(10.0) == pytest.approx(1.1e-5)

@@ -422,3 +422,40 @@ def test_weight_construction_verifies_and_perturbation_flips(seed, n):
     moved[(i, j)] = tuple(np.asarray(moved[(i, j)]) + 1e-3 * (aj - ai))
     flipped = menelaus_products(EdgePointSet(vertices=vertices, edge_points=moved))
     assert not flipped.verdict
+
+
+@given(st.integers(2, 6), SEEDS, st.floats(-3.0, 3.0), st.floats(0.0, 1e3), st.booleans())
+@settings(max_examples=40, deadline=None)
+def test_similarity_invariance(n, seed, log_scale, shift, positive):
+    # x -> s Q x + t keeps every signed ratio and scales every distance by s.
+    # The moved coordinates carry rounding eps * (|t| + s R) against the
+    # set's own size s R, so the bounds grow with cond = 1 + |t| / (s R).
+    # The residual divides the largest deviation by the bounding-box
+    # diameter, which a rotation changes, so the deviation is compared.
+    rng = np.random.default_rng(seed)
+    s = 10.0 ** log_scale
+    q, _ = np.linalg.qr(rng.normal(size=(n, n)))
+    t = rng.normal(size=n)
+    t *= shift / np.linalg.norm(t)
+    spec = GenSpec(dimension=n, seed=seed, kind="edge_points",
+                   perturb=None if positive else 1e-2)
+    eps = gen_menelaus_case(spec, positive=positive)
+
+    def move(p):
+        return tuple((s * (q @ np.asarray(p)) + t).tolist())
+
+    moved = EdgePointSet(vertices=tuple(move(v) for v in eps.vertices),
+                         edge_points={k: move(b) for k, b in eps.edge_points.items()})
+    before, after = menelaus_products(eps), menelaus_products(moved)
+    assert before.verdict == after.verdict == positive
+    cond = 1.0 + shift / (s * max(abs(x) for v in eps.vertices for x in v))
+    for pair, lam in before.lambdas.items():
+        assert after.lambdas[pair] == pytest.approx(lam, rel=1e-12 * cond)
+
+    def deviation(config, report):
+        pts = np.asarray([config.edge_points[k] for k in sorted(config.edge_points)])
+        return report.hyperplane_residual * kernel._bbox_diameter(pts)
+
+    unit = kernel._bbox_diameter(np.asarray(list(eps.edge_points.values())))
+    assert deviation(moved, after) / s == pytest.approx(
+        deviation(eps, before), rel=1e-6, abs=1e-12 * cond * unit)

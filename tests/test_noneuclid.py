@@ -267,6 +267,25 @@ def test_hyperplane_fit_validation():
     np.testing.assert_allclose(plane.normal, (0.0, 0.0, 1.0), atol=1e-12)
 
 
+@pytest.mark.parametrize("geometry", [SPHERICAL, HYPERBOLIC])
+@pytest.mark.parametrize("n", [2, 4, 6])
+def test_one_factorisation_per_section_fit(monkeypatch, geometry, n):
+    config = gen_menelaus_case(GenSpec(dimension=n, seed=n, kind="edge_points", geometry=geometry))
+    points = [config.edge_points[k] for k in sorted(config.edge_points)]
+    calls = []
+    svd = np.linalg.svd
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting)
+    plane, residual = xn_hyperplane_fit(points)
+    assert len(calls) == 1
+    assert residual <= 1e-12
+    assert max(abs(x) for x in plane.normal) == 1.0
+
+
 def test_config_validation():
     config = xn_edge_points_from_weights((E1, E2, E3), (1.0, 2.0, 4.0))
     bad = XnConfig(vertices=config.vertices, edge_points={(1, 2): config.edge_points[(1, 2)]})

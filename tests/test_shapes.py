@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import mongekit.shapes as shapes
 from mongekit.errors import (
     BackendMixError,
     DegenerateShape,
@@ -270,3 +271,31 @@ def test_backend_flag_per_shape():
     assert len(vs.vertices) == 3
     detect_homothety(vs, apply_homothety(Homothety(center=(1.0, 1.0), ratio=2.0), vs))
     assert vars(vs)["_exact"] is False
+
+
+def test_integer_constraints_beside_float_ones_are_float_data():
+    # is_exact reads ints among floats as floats, so the whole list is one
+    # float set; canonicalising the integer constraints to Fraction would
+    # mix backends at the first detection
+    small = HalfspaceSet([((1, 0), 0), ((0, 1), 0), ((-1.0, -1.0), -1.0)])
+    large = HalfspaceSet([((1, 0), 0), ((0, 1), 0), ((-1.0, -1.0), -2.0)])
+    assert not small._exact and not large._exact
+    assert all(type(x) is float for h in small.constraints for x in (*h.normal, h.offset))
+    h = detect_homothety(small, large)
+    assert h.ratio == pytest.approx(2.0)
+    assert h.center == pytest.approx((0.0, 0.0), abs=1e-12)
+
+
+def test_halfspace_set_classified_once(monkeypatch):
+    calls = []
+    real = shapes.is_exact
+
+    def counting(values):
+        calls.append(1)
+        return real(values)
+
+    monkeypatch.setattr(shapes, "is_exact", counting)
+    hs = halfplane_family_exact(3)
+    assert detect_homothety(hs, halfplane_family_exact(2)).ratio == Fraction(9, 4)
+    assert len(calls) == 2  # one per set, none per constraint or per detection
+    assert vars(hs)["_exact"] is True
