@@ -82,9 +82,9 @@ def _resolve_tolerance(value):
 
 def _load_json(path):
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             return json.load(fh)
-    except json.JSONDecodeError as e:
+    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as e:
         raise ScenarioError(f"not valid JSON: {e}", where=path) from e
     except OSError as e:
         raise ScenarioError(str(e), where=path) from e

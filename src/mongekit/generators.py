@@ -313,11 +313,13 @@ def _anchored_pair(weights):
     return (min(hi, lo), max(hi, lo)), hi
 
 
-def _perturb_euclid(eps, weights, perturb):
+def _perturb_euclid(eps, weights, factor):
+    """``eps`` with its anchored edge point moved ``factor`` times as far
+    from the anchor vertex."""
     (i, j), hi = _anchored_pair(weights)
     anchor = eps.vertices[hi - 1]
     b = eps.edge_points[(i, j)]
-    moved = tuple(a + (1.0 + perturb) * (x - a) for a, x in zip(anchor, b))
+    moved = tuple(a + factor * (x - a) for a, x in zip(anchor, b))
     points = dict(eps.edge_points)
     points[(i, j)] = moved
     return EdgePointSet(vertices=eps.vertices, edge_points=points)
@@ -332,7 +334,7 @@ def _gen_euclid_menelaus(rng, spec, positive, tol):
             return eps
         margin = _euclid_negative_margin(vertices, weights, eps.edge_points, spec.perturb)
         if margin >= NEG_PLANE_MARGIN:
-            return _perturb_euclid(eps, weights, spec.perturb)
+            return _perturb_euclid(eps, weights, 1.0 + spec.perturb)
     raise GenerationError("could not draw a usable configuration")
 
 
@@ -473,12 +475,5 @@ def gen_rational_case(spec: GenSpec, positive=True, index=0) -> EdgePointSet:
         eps = edge_points_from_weights(tuple(vertices), tuple(weights))
         if positive:
             return eps
-        (i, j), hi = _anchored_pair(weights)
-        anchor = eps.vertices[hi - 1]
-        b = eps.edge_points[(i, j)]
-        bump = 1 + Fraction(spec.perturb).limit_denominator(1000)
-        moved = tuple(a + bump * (x - a) for a, x in zip(anchor, b))
-        points = dict(eps.edge_points)
-        points[(i, j)] = moved
-        return EdgePointSet(vertices=eps.vertices, edge_points=points)
+        return _perturb_euclid(eps, weights, 1 + Fraction(spec.perturb).limit_denominator(1000))
     raise GenerationError("could not draw a usable rational configuration")

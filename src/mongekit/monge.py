@@ -5,9 +5,10 @@ decreasing size, each pair (i, j) with i < j has a homothety with ratio
 above 1 taking shape j to shape i.  MongeConfig.build finds that order:
 it detects the homothety from the first input shape to each other one,
 whatever its ratio, and sorts by those ratios, largest first (index 1 is
-the largest shape).  run_monge detects all n(n+1)/2 centers and fits a
-hyperplane through them; for genuinely homothetic input families the fit
-succeeds with tiny residual.
+the largest shape).  run_monge detects the n homotheties onto shape 1,
+gets every other pair's by composition (the classical proof of Monge's
+theorem), and fits a hyperplane through the n(n+1)/2 centers; for
+genuinely homothetic input families the fit succeeds with tiny residual.
 """
 
 from __future__ import annotations
@@ -140,40 +141,47 @@ def _canonical_plane_through(points, span, exact, tol: Tolerance):
 
 
 def run_monge(config: MongeConfig, tol: Tolerance = DEFAULT_TOLERANCE) -> MongeReport:
-    """Detect all pairwise homothety centers and test their coplanarity.
+    """Find all pairwise homothety centers and test their coplanarity.
 
-    The verdict is true when the centers fit a hyperplane within
-    tolerance, including the degenerate situation where they span fewer
-    than n-1 dimensions (then the report's degenerate flag is set and a
-    canonical containing hyperplane is returned).
+    Shape k is detected onto shape 1 once, g_k(x) = s_k x + u_k (errors
+    carry the pair (1, k)); pair (i, j) is g_i^-1 o g_j, with ratio
+    s_j / s_i and center (u_i - u_j) / (s_j - s_i), where s_j > s_i holds
+    in the order MongeConfig.build gives the shapes.  The verdict is true
+    when the centers fit a hyperplane within tolerance, including the
+    degenerate situation where they span fewer than n-1 dimensions (then
+    the report's degenerate flag is set and a canonical containing
+    hyperplane is returned).
     """
     n = config.dimension
-    centers = {}
-    ratios = {}
-    for (i, j) in all_pairs(n + 1):
+    g = {}
+    for k in range(2, n + 2):
         try:
-            h = detect_homothety(config.shapes[j - 1], config.shapes[i - 1], tol)
+            g[k] = detect_homothety(config.shapes[k - 1], config.shapes[0], tol)
         except GeometryError as e:
-            raise _with_pair(e, (i, j))
-        centers[(i, j)] = h.center
-        ratios[(i, j)] = h.ratio
-    points = [centers[p] for p in sorted(centers)]
+            raise _with_pair(e, (1, k))
+    u = {k: tuple((1 - h.ratio) * c for c in h.center) for k, h in g.items()}
+    centers = {(1, k): h.center for k, h in g.items()}
+    ratios = {(1, k): h.ratio for k, h in g.items()}
+    for (i, j) in all_pairs(n + 1)[n:]:
+        # divide by the positive s_j - s_i: a zero coordinate stays 0.0, not -0.0
+        gap = g[j].ratio - g[i].ratio
+        if not gap > 0:
+            raise RatioNotGreaterThanOne("shapes are not in decreasing size", pair=(i, j))
+        centers[(i, j)] = tuple((a - b) / gap for a, b in zip(u[i], u[j]))
+        ratios[(i, j)] = g[j].ratio / g[i].ratio
+    points = list(centers.values())
     exact = is_exact([list(p) for p in points])
-    thr = 0 if exact else tol.scaled(1.0)
+    plane = residual = span = None
     try:
         plane, residual = fit_hyperplane(points, tol)
-        return MongeReport(
-            centers=centers, ratios=ratios, hyperplane=plane, residual=residual,
-            degenerate=False, span_dim=None, verdict=bool(residual <= thr),
-        )
+        verdict = residual <= (0 if exact else tol.scaled(1.0))
     except NonCoplanar:
-        return MongeReport(
-            centers=centers, ratios=ratios, hyperplane=None, residual=None,
-            degenerate=False, span_dim=None, verdict=False,
-        )
+        verdict = False
     except DegenerateConfiguration as e:
-        plane, residual = _canonical_plane_through(points, e.span_dim, exact, tol)
-        return MongeReport(
-            centers=centers, ratios=ratios, hyperplane=plane, residual=residual,
-            degenerate=True, span_dim=e.span_dim, verdict=True,
-        )
+        span = e.span_dim
+        plane, residual = _canonical_plane_through(points, span, exact, tol)
+        verdict = True
+    return MongeReport(
+        centers=centers, ratios=ratios, hyperplane=plane, residual=residual,
+        degenerate=span is not None, span_dim=span, verdict=bool(verdict),
+    )

@@ -296,18 +296,11 @@ def _center_from_ratio(lam, c_from, c_to):
 
 
 def _ball_map(src: Ball, dst: Ball, tol: Tolerance, exact: bool) -> Homothety:
-    if exact:
-        lam = Fraction(dst.radius) / Fraction(src.radius)
-        if lam == 1:
-            raise RatioNotGreaterThanOne("equal radii give a translation, not a homothety")
-        center = _center_from_ratio(lam, [Fraction(x) for x in src.center],
-                                    [Fraction(x) for x in dst.center])
-        return Homothety(center=center, ratio=lam)
-    lam = float(dst.radius) / float(src.radius)
-    if abs(lam - 1.0) <= tol.scaled(1.0):
+    num = Fraction if exact else float
+    lam = num(dst.radius) / num(src.radius)
+    if (lam == 1) if exact else (abs(lam - 1.0) <= tol.scaled(1.0)):
         raise RatioNotGreaterThanOne("equal radii give a translation, not a homothety")
-    center = _center_from_ratio(lam, [float(x) for x in src.center],
-                                [float(x) for x in dst.center])
+    center = _center_from_ratio(lam, [num(x) for x in src.center], [num(x) for x in dst.center])
     return Homothety(center=center, ratio=lam)
 
 

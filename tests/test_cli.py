@@ -95,6 +95,24 @@ def test_verify_missing_and_malformed_files(tmp_path, capsys):
     assert out.count('"error"') == 2
 
 
+def test_verify_non_utf8_file_exits_2(tmp_path, capsys):
+    bad = tmp_path / "latin1.json"
+    bad.write_bytes('{"geometry": "é"}'.encode("latin-1"))
+    assert main(["verify", "--input", str(bad)]) == 2
+    err = json.loads(capsys.readouterr().out)["error"]
+    assert err["code"] == "ScenarioError"
+    assert err["where"] == str(bad)
+
+
+def test_verify_deeply_nested_file_exits_2(tmp_path, capsys):
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000 + "]" * 100_000)
+    assert main(["verify", "--input", str(deep)]) == 2
+    err = json.loads(capsys.readouterr().out)["error"]
+    assert err["code"] == "ScenarioError"
+    assert err["where"] == str(deep)
+
+
 def test_verify_stdout_report(tmp_path, capsys):
     src = write_scenario(tmp_path / "s.json", THREE_CIRCLES)
     assert main(["verify", "--input", src]) == 0

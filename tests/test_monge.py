@@ -14,8 +14,9 @@ from mongekit.menelaus import (
     edge_points_from_weights,
     monge_hyperplane_from_weights,
 )
+from mongekit import monge
 from mongekit.monge import MongeConfig, run_monge
-from mongekit.shapes import Ball, HalfspaceSet, VertexSet, apply_homothety
+from mongekit.shapes import Ball, HalfspaceSet, VertexSet, apply_homothety, detect_homothety
 
 from test_shapes import halfplane_family, halfplane_family_exact
 
@@ -64,6 +65,16 @@ def test_build_sorts_and_rejects_ties():
     # a tie between two shapes other than the first names their input positions
     with pytest.raises(RatioNotGreaterThanOne) as err:
         MongeConfig.build((Ball((0.0, 0.0), 2.0), Ball((4.0, 0.0), 1.0), Ball((0.0, 4.0), 1.0)))
+    assert err.value.pair == (2, 3)
+
+
+def test_run_monge_rejects_unordered_config():
+    big, mid, small = THREE_CIRCLES
+    with pytest.raises(RatioNotGreaterThanOne) as err:
+        run_monge(MongeConfig(dimension=2, shapes=(big, small, mid)))
+    assert err.value.pair == (2, 3)
+    with pytest.raises(RatioNotGreaterThanOne) as err:
+        run_monge(MongeConfig(dimension=2, shapes=(big, small, small)))
     assert err.value.pair == (2, 3)
 
 
@@ -135,6 +146,57 @@ def test_shuffled_family_same_report(kind, n, seed, order):
     assert got.centers == want.centers
     assert got.ratios == want.ratios
     assert got.hyperplane == want.hyperplane
+
+
+def test_run_monge_detects_once_per_shape(monkeypatch):
+    # n detections order the family and n more map each shape onto the
+    # largest; every other pair comes by composition
+    calls = {"detect_homothety": 0, "_homothety": 0}
+
+    def counting(name):
+        real = getattr(monge, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(monge, name, counting(name))
+    family = _float_family(np.random.default_rng(5), 10, "balls")
+    report = run_monge(MongeConfig.build(family))
+    assert report.verdict and len(report.centers) == 55
+    assert calls == {"detect_homothety": 10, "_homothety": 10}
+
+
+def _float_halfspaces(family):
+    return [HalfspaceSet(constraints=tuple(
+        (tuple(float(a) for a in c.normal), float(c.offset)) for c in s.constraints))
+        for s in family]
+
+
+@given(st.sampled_from(["balls", "vertex_sets", "halfspaces", "exact_halfspaces"]),
+       st.integers(2, 6), st.integers(0, 10_000))
+@settings(max_examples=40, deadline=None)
+def test_composed_pairs_match_detection(kind, n, seed):
+    rng = np.random.default_rng(seed)
+    if kind.endswith("halfspaces"):
+        family = _halfspace_family(rng, n)
+        if kind == "halfspaces":
+            family = _float_halfspaces(family)
+    else:
+        family = _float_family(rng, n, kind)
+    config = MongeConfig.build(family)
+    report = run_monge(config)
+    for (i, j), center in report.centers.items():
+        h = detect_homothety(config.shapes[j - 1], config.shapes[i - 1])
+        if kind == "exact_halfspaces":
+            assert center == h.center and report.ratios[(i, j)] == h.ratio
+            continue
+        want = np.asarray(h.center)
+        scale = max(1.0, float(np.abs(want).max()))
+        assert float(np.abs(np.asarray(center) - want).max()) <= 1e-12 * scale
+        assert report.ratios[(i, j)] == pytest.approx(h.ratio, rel=1e-12)
 
 
 def test_halfplane_family_on_vertical_line():
