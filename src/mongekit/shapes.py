@@ -9,6 +9,10 @@ its data (exact or float) once: a half-space set while it canonicalises its
 constraints, the others on first use.  Half-space feasibility is probed
 with an LP on a float copy of the data.
 
+scipy is imported on first use, not with this module: scipy.spatial when
+a vertex set builds its KD-tree, scipy.optimize on the first half-space
+LP; balls and edge-point scenarios never load it.
+
 Every detection costs O(m) per pair beside the matching: a ball's ratio
 is its radius ratio, a vertex set's is the square root of its second
 moment ratio about the centroid, and a half-space set's comes from one
@@ -26,8 +30,6 @@ from fractions import Fraction
 from itertools import combinations
 
 import numpy as np
-from scipy.optimize import linprog
-from scipy.spatial import cKDTree
 
 from .errors import (
     DegenerateShape,
@@ -60,6 +62,13 @@ __all__ = [
     "size_measure",
     "apply_homothety",
 ]
+
+
+def linprog(*args, **kwargs):
+    """scipy.optimize.linprog, imported on the first LP."""
+    from scipy import optimize
+
+    return optimize.linprog(*args, **kwargs)
 
 
 class _Shape:
@@ -114,6 +123,8 @@ class VertexSet(_Shape):
     @cached_property
     def _tree(self):
         """KD-tree over the vertices as floats (``.data``, in vertex order)."""
+        from scipy.spatial import cKDTree
+
         return cKDTree(np.asarray(self.vertices, dtype=float))
 
     kind = "vertices"
@@ -457,7 +468,11 @@ def _homothety(src, dst, tol: Tolerance) -> Homothety:
         raise DimensionMismatch("shapes must share a dimension")
     if type(src) not in _MAPS:
         raise InvalidInput(f"unsupported shape type {type(src).__name__}")
-    return _MAPS[type(src)][0](src, dst, tol, _exact_pair(src, dst))
+    exact = _exact_pair(src, dst)
+    h = _MAPS[type(src)][0](src, dst, tol, exact)
+    if not exact and not all(map(math.isfinite, (h.ratio, *h.center))):
+        raise InvalidInput("homothety ratio or center overflows the float range")
+    return h
 
 
 def detect_homothety(src, dst, tol: Tolerance = DEFAULT_TOLERANCE) -> Homothety:
@@ -467,7 +482,8 @@ def detect_homothety(src, dst, tol: Tolerance = DEFAULT_TOLERANCE) -> Homothety:
     translation and raise RatioNotGreaterThanOne, as does a target smaller
     than the source; shape pairs that no homothety relates raise
     NotHomothetic; pairs related by infinitely many (parallel half-plane
-    translates, say) raise NonUniqueHomothety.
+    translates, say) raise NonUniqueHomothety.  A float ratio or center
+    that overflows (sizes too far apart) raises InvalidInput.
     """
     h = _homothety(src, dst, tol)
     if h.ratio < 1:

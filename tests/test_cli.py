@@ -19,6 +19,20 @@ THREE_CIRCLES = {
     ],
 }
 
+# criterion 2's family: {x >= 0, y >= 1/i, x + y >= 4 - i}, i = 1, 2, 3
+HALF_PLANES = {
+    "geometry": "euclidean",
+    "dimension": 2,
+    "kind": "shapes",
+    "shapes": [
+        {"type": "halfspaces", "constraints": [
+            {"normal": [1, 0], "offset": 0},
+            {"normal": [0, 1], "offset": 1.0 / i},
+            {"normal": [1, 1], "offset": 4 - i},
+        ]} for i in (1, 2, 3)
+    ],
+}
+
 
 def write_scenario(path, obj):
     path.write_text(json.dumps(obj))
@@ -402,3 +416,49 @@ def test_unrepresentable_numbers_rejected_with_path(tmp_path, capsys, obj, where
     err = json.loads(capsys.readouterr().out)["error"]
     assert err["code"] == "ScenarioError"
     assert err["where"] == where
+
+
+@pytest.mark.parametrize("radii", [(1, 1e-320), (1e-320, 1)])
+def test_float_overflow_in_detection_names_the_pair(tmp_path, capsys, radii):
+    # the ratio 1 / 1e-320 overflows: in run_monge for the first order, in
+    # MongeConfig.build for the second
+    obj = {"geometry": "euclidean", "dimension": 1, "kind": "shapes",
+           "shapes": [{"type": "ball", "center": [k], "radius": r}
+                      for k, r in enumerate(radii)]}
+    src = write_scenario(tmp_path / "s.json", obj)
+    assert main(["verify", "--input", src]) == 2
+    err = json.loads(capsys.readouterr().out)["error"]
+    assert err["code"] == "InvalidInput"
+    assert "overflows" in err["message"]
+    assert err["pair"] == [1, 2]
+
+
+def fresh_verify(paths):
+    """Exit codes of ``verify`` on each path, and the scipy modules loaded,
+    in a new interpreter that imports only mongekit.cli first."""
+    script = (
+        "import json, sys\n"
+        "from mongekit.cli import main\n"
+        "codes = [main(['verify', '--input', p, '--output', p + '.report'])\n"
+        "         for p in sys.argv[1:]]\n"
+        "print(json.dumps([codes, sorted(m for m in sys.modules if m.startswith('scipy'))]))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script, *paths],
+                          capture_output=True, text=True, check=True)
+    return json.loads(proc.stdout)
+
+
+def test_edge_points_and_balls_never_import_scipy(tmp_path):
+    for geometry in ("euclidean", "spherical"):
+        assert main(["generate", "--geometry", geometry, "--kind", "edge_points",
+                     "--dim", "3", "--count", "1", "--seed", "2",
+                     "--out", str(tmp_path / geometry)]) == 0
+    paths = [str(tmp_path / g / "scenario-2-0.json") for g in ("euclidean", "spherical")]
+    paths.append(write_scenario(tmp_path / "circles.json", THREE_CIRCLES))
+    assert fresh_verify(paths) == [[0, 0, 0], []]
+
+
+def test_half_planes_import_scipy_on_first_lp(tmp_path):
+    codes, loaded = fresh_verify([write_scenario(tmp_path / "h.json", HALF_PLANES)])
+    assert codes == [0]
+    assert "scipy.optimize" in loaded

@@ -299,3 +299,18 @@ def test_halfspace_set_classified_once(monkeypatch):
     assert detect_homothety(hs, halfplane_family_exact(2)).ratio == Fraction(9, 4)
     assert len(calls) == 2  # one per set, none per constraint or per detection
     assert vars(hs)["_exact"] is True
+
+
+def test_halfspace_feasibility_calls_module_linprog(monkeypatch):
+    # the LP goes through the module attribute, which perfbench/tracing.py
+    # wraps to count shapes.linprog_calls
+    calls = []
+    real = shapes.linprog
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(shapes, "linprog", counting)
+    halfplane_family(2)
+    assert len(calls) == 1
