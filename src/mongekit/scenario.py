@@ -136,7 +136,7 @@ def _encode_point(p):
     return [encode_number(x) for x in p]
 
 
-def _parse_shape(obj, n, exact, where):
+def _parse_shape(obj, n, exact, where, first=False):
     if not isinstance(obj, dict) or "type" not in obj:
         _fail("shape entries need a 'type' field", where)
     kind = obj["type"]
@@ -165,7 +165,13 @@ def _parse_shape(obj, n, exact, where):
                 normal = _point(c.get("normal"), n, exact, f"{where}.constraints[{k}].normal")
                 offset = _number(c.get("offset"), exact, f"{where}.constraints[{k}].offset")
                 parsed.append((normal, offset))
-            return HalfspaceSet(constraints=tuple(parsed))
+            shape = HalfspaceSet(constraints=tuple(parsed))
+            if first:
+                # the family's one feasibility LP, so that an empty first set
+                # is reported at its path; detection carries non-emptiness
+                # on to every shape matched to it
+                shape._nonempty
+            return shape
     except GeometryError as e:
         if isinstance(e, ScenarioError):
             raise
@@ -226,7 +232,8 @@ def parse_scenario(obj, exact=False) -> Scenario:
         if not isinstance(shapes, list) or not shapes:
             _fail("kind 'shapes' needs a non-empty 'shapes' array", "$.shapes")
         payload = [
-            _parse_shape(s, n, exact, f"$.shapes[{k}]") for k, s in enumerate(shapes)
+            _parse_shape(s, n, exact, f"$.shapes[{k}]", first=k == 0)
+            for k, s in enumerate(shapes)
         ]
         return Scenario(geometry, n, kind, payload, expect, exact)
 

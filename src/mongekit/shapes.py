@@ -6,8 +6,17 @@ spaces, possibly unbounded).  detect_homothety(src, dst) finds the unique
 homothety with ratio above 1 mapping src onto dst, or explains why there
 is none.  All shapes work on both scalar backends; each shape classifies
 its data (exact or float) once: a half-space set while it canonicalises its
-constraints, the others on first use.  Half-space feasibility is probed
-with an LP on a float copy of the data.
+constraints, the others on first use.
+
+Half-space non-emptiness is decided on first use, not at construction:
+one LP on a float copy of the data, at most once per set.  A homothety
+with a positive ratio maps a non-empty region onto a non-empty one, so a
+detection from a non-empty set records its target as non-empty, and
+apply_homothety its image, without an LP.  A family of n+1 half-space
+sets therefore costs one LP: MongeConfig.build detects from input shape 1
+to every other shape.  An empty set raises InfeasibleRegion where it is
+first used: as the source of a detection, in apply_homothety, or in
+size_measure.
 
 scipy is imported on first use, not with this module: scipy.spatial when
 a vertex set builds its KD-tree, scipy.optimize on the first half-space
@@ -16,7 +25,10 @@ LP; balls and edge-point scenarios never load it.
 Every detection costs O(m) per pair beside the matching: a ball's ratio
 is its radius ratio, a vertex set's is the square root of its second
 moment ratio about the centroid, and a half-space set's comes from one
-linear solve over matched constraints.  MongeConfig.build orders a family
+linear solve over matched constraints.  On floats that solve is refined
+once against a residual computed without rounding error, so the result is
+accurate to rounding, not to cond * eps, and run_monge's composed pairs
+agree with direct detection.  MongeConfig.build orders a family
 by these ratios, so no separate size is needed; size_measure is kept as a
 public helper but is off the verify path.
 """
@@ -156,6 +168,13 @@ class Halfspace:
 
 @dataclass(frozen=True)
 class HalfspaceSet(_Shape):
+    """Intersection of closed half-spaces, canonically scaled.
+
+    Construction canonicalises and validates the constraints but solves no
+    LP: whether the intersection is empty is checked on first use (see the
+    module docstring), so an empty set is built without error.
+    """
+
     constraints: tuple
 
     def __post_init__(self):
@@ -174,15 +193,19 @@ class HalfspaceSet(_Shape):
         if len({(h.normal, h.offset) for h in canon}) != len(canon):
             raise InvalidInput("duplicate half-space constraint")
         object.__setattr__(self, "constraints", tuple(canon))
-        if not self._feasible():
-            raise InfeasibleRegion("half-space constraints have empty intersection")
 
-    def _feasible(self):
+    @cached_property
+    def _nonempty(self):
+        """True, or InfeasibleRegion when the constraints have an empty
+        intersection: one float HiGHS LP, solved on first use.  A detection
+        with a positive ratio onto this set sets it without an LP."""
         a = -np.asarray([[float(x) for x in h.normal] for h in self.constraints])
         b = -np.asarray([float(h.offset) for h in self.constraints])
         res = linprog(np.zeros(self.dimension), A_ub=a, b_ub=b,
                       bounds=[(None, None)] * self.dimension, method="highs")
-        return res.status == 0
+        if res.status != 0:
+            raise InfeasibleRegion("half-space constraints have empty intersection")
+        return True
 
     @property
     def dimension(self):
@@ -370,6 +393,10 @@ def _vertexset_map(src: VertexSet, dst: VertexSet, tol: Tolerance, exact: bool) 
     return h
 
 
+# float elements in one block of the difference _match_constraints broadcasts
+_MATCH_BLOCK = 1 << 16
+
+
 def _match_constraints(src: HalfspaceSet, dst: HalfspaceSet, tol: Tolerance, exact: bool):
     if len(src.constraints) != len(dst.constraints):
         raise NotHomothetic("constraint counts differ")
@@ -394,17 +421,45 @@ def _match_constraints(src: HalfspaceSet, dst: HalfspaceSet, tol: Tolerance, exa
     # normal (the first one on a tie)
     a = np.asarray([h.normal for h in src.constraints], dtype=float)
     b = np.asarray([g.normal for g in dst.constraints], dtype=float)
-    gaps = np.linalg.norm(a[:, None, :] - b[None, :, :], axis=2)
     # unit normals: allow a generous but still tiny direction gap
     limit = math.sqrt(tol.scaled(1.0))
+    taken = np.zeros(len(b), dtype=bool)
     matched = []
-    for h, row in zip(src.constraints, gaps):
-        k = int(np.argmin(row))
-        if row[k] > limit:
-            raise NotHomothetic("constraint normals do not match")
-        gaps[:, k] = np.inf
-        matched.append((h.normal, h.offset, dst.constraints[k].offset))
+    # gaps for a block of source rows at a time: the whole m x m x n
+    # difference would need gigabytes for m in the tens of thousands
+    step = max(1, _MATCH_BLOCK // b.size)
+    for start in range(0, len(a), step):
+        gaps = np.linalg.norm(a[start:start + step, None, :] - b[None, :, :], axis=2)
+        gaps[:, taken] = np.inf
+        for h, row in zip(src.constraints[start:start + step], gaps):
+            k = int(np.argmin(row))
+            if row[k] > limit:
+                raise NotHomothetic("constraint normals do not match")
+            gaps[:, k] = np.inf
+            taken[k] = True
+            matched.append((h.normal, h.offset, dst.constraints[k].offset))
     return matched
+
+
+def _split(a: np.ndarray):
+    """Veltkamp split: a = hi + lo exactly, each half with 26 bits."""
+    c = 134217729.0 * a  # 2**27 + 1
+    hi = c - (c - a)
+    return hi, a - hi
+
+
+def _exact_residual(rows: np.ndarray, sol: np.ndarray, rhs: np.ndarray):
+    """rhs - rows @ sol with one rounding per entry: each product is split
+    into two floats exactly (Dekker) and every row is summed by math.fsum.
+    None when an entry is not below 2**500, where the split could overflow."""
+    if not max(np.abs(rows).max(), np.abs(sol).max(), np.abs(rhs).max()) < 2.0 ** 500:
+        return None
+    p = rows * sol
+    ah, al = _split(rows)
+    bh, bl = _split(sol)
+    e = ((ah * bh - p) + ah * bl + al * bh) + al * bl
+    return np.asarray([math.fsum((b, *ps, *es))
+                       for b, ps, es in zip(rhs.tolist(), (-p).tolist(), (-e).tolist())])
 
 
 def _halfspaceset_map(src: HalfspaceSet, dst: HalfspaceSet, tol: Tolerance,
@@ -433,9 +488,16 @@ def _halfspaceset_map(src: HalfspaceSet, dst: HalfspaceSet, tol: Tolerance,
         [[float(d_from)] + [float(x) for x in normal] for normal, d_from, _ in matched]
     )
     rhs = np.asarray([float(d_to) for _, _, d_to in matched])
-    sol, _, _, sing = np.linalg.lstsq(rows, rhs, rcond=None)
+    u, sing, vt = np.linalg.svd(rows, full_matrices=False)
     if _rank_from(sing, tol) < n + 1:
         raise NonUniqueHomothety("constraints do not pin down a unique homothety")
+    sol = vt.T @ ((u.T @ rhs) / sing)
+    # one refinement step against the exact residual, with the same SVD:
+    # the float solve is only accurate to cond * eps, and composed pairs
+    # (run_monge) must agree with a direct detection to rounding
+    residual = _exact_residual(rows, sol, rhs)
+    if residual is not None:
+        sol = sol + vt.T @ ((u.T @ residual) / sing)
     scale = max(1.0, float(np.abs(rhs).max()))
     if float(np.max(np.abs(rows @ sol - rhs))) > tol.scaled(scale):
         raise NotHomothetic("no homothety maps the constraints onto each other")
@@ -468,10 +530,16 @@ def _homothety(src, dst, tol: Tolerance) -> Homothety:
         raise DimensionMismatch("shapes must share a dimension")
     if type(src) not in _MAPS:
         raise InvalidInput(f"unsupported shape type {type(src).__name__}")
+    halfspaces = type(src) is HalfspaceSet
+    if halfspaces:
+        src._nonempty  # raises InfeasibleRegion for an empty region
     exact = _exact_pair(src, dst)
     h = _MAPS[type(src)][0](src, dst, tol, exact)
     if not exact and not all(map(math.isfinite, (h.ratio, *h.center))):
         raise InvalidInput("homothety ratio or center overflows the float range")
+    if halfspaces and h.ratio > 0:
+        # h maps the non-empty src onto dst, so dst is non-empty: no LP for it
+        object.__setattr__(dst, "_nonempty", True)
     return h
 
 
@@ -505,5 +573,8 @@ def apply_homothety(h: Homothety, shape):
         for c in shape.constraints:
             shifted = sum(a * b for a, b in zip(c.normal, h.center))
             out.append((c.normal, h.ratio * c.offset + (1 - h.ratio) * shifted))
-        return HalfspaceSet(constraints=tuple(out))
+        image = HalfspaceSet(constraints=tuple(out))
+        # the image of a non-empty region is non-empty: no LP for it
+        object.__setattr__(image, "_nonempty", shape._nonempty)
+        return image
     raise InvalidInput(f"unsupported shape type {type(shape).__name__}")

@@ -88,6 +88,34 @@ def test_non_homothetic_shapes_exit_2_with_pair(tmp_path, capsys):
     assert err["pair"] == [1, 3]
 
 
+# {x >= 0, y >= 0, x + y <= 4 - i}; i = 5 is empty
+def _triangle(i):
+    return {"type": "halfspaces", "constraints": [
+        {"normal": [1, 0], "offset": 0}, {"normal": [0, 1], "offset": 0},
+        {"normal": [-1, -1], "offset": i - 4}]}
+
+
+def test_empty_first_halfspace_set_reported_at_its_path(tmp_path, capsys):
+    scenario = {"geometry": "euclidean", "dimension": 2, "kind": "shapes",
+                "shapes": [_triangle(5), _triangle(1), _triangle(2)]}
+    src = write_scenario(tmp_path / "s.json", scenario)
+    assert main(["verify", "--input", src]) == 2
+    err = json.loads(capsys.readouterr().out)["error"]
+    assert err == {"code": "ScenarioError", "where": "$.shapes[0]",
+                   "message": "half-space constraints have empty intersection"}
+
+
+def test_empty_later_halfspace_set_exits_2_with_pair(tmp_path, capsys):
+    # only input shape 1 is checked for emptiness; the third is caught by
+    # its detection from shape 1
+    scenario = {"geometry": "euclidean", "dimension": 2, "kind": "shapes",
+                "shapes": [_triangle(1), _triangle(2), _triangle(5)]}
+    src = write_scenario(tmp_path / "s.json", scenario)
+    assert main(["verify", "--input", src]) == 2
+    err = json.loads(capsys.readouterr().out)["error"]
+    assert err["pair"] == [1, 3]
+
+
 def test_internal_error_exits_3(tmp_path, capsys, monkeypatch):
     # a crash must not read as exit 1, which means "verdict mismatch"
     def broken(scenario, tol):

@@ -3,7 +3,7 @@ from itertools import combinations, permutations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mongekit.errors import NotHomothetic, RatioNotGreaterThanOne
@@ -14,7 +14,7 @@ from mongekit.menelaus import (
     edge_points_from_weights,
     monge_hyperplane_from_weights,
 )
-from mongekit import monge
+from mongekit import monge, shapes
 from mongekit.monge import MongeConfig, run_monge
 from mongekit.shapes import Ball, HalfspaceSet, VertexSet, apply_homothety, detect_homothety
 
@@ -175,9 +175,42 @@ def _float_halfspaces(family):
         for s in family]
 
 
+@pytest.mark.parametrize("exact", [False, True])
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_one_feasibility_lp_per_family(monkeypatch, n, exact):
+    # build pays the LP for input shape 1; each detection from it with a
+    # positive ratio carries non-emptiness to its target, so run_monge pays none
+    calls = []
+    real = shapes.linprog
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(shapes, "linprog", counting)
+    family = _halfspace_family(np.random.default_rng(n), n)
+    if not exact:
+        family = _float_halfspaces(family)
+    orders = [list(range(n + 1)), list(range(n, -1, -1)),
+              list(range(1, n + 1)) + [0], [n // 2] + [k for k in range(n + 1) if k != n // 2]]
+    for order in orders:
+        # unchecked copies, so that no earlier use has decided non-emptiness
+        fresh = [HalfspaceSet(constraints=tuple(
+            (c.normal, c.offset) for c in family[k].constraints)) for k in order]
+        calls.clear()
+        report = run_monge(MongeConfig.build(fresh))
+        assert report.verdict
+        assert len(calls) == 1, order
+
+
 @given(st.sampled_from(["balls", "vertex_sets", "halfspaces", "exact_halfspaces"]),
        st.integers(2, 6), st.integers(0, 10_000))
 @settings(max_examples=40, deadline=None)
+# float half-space families on which composed and direct centers differed
+# by up to 2e-12 relative (bound 1e-12) before the refinement step
+@example(kind="halfspaces", n=4, seed=2203)
+@example(kind="halfspaces", n=5, seed=24)
+@example(kind="halfspaces", n=5, seed=4)
 def test_composed_pairs_match_detection(kind, n, seed):
     rng = np.random.default_rng(seed)
     if kind.endswith("halfspaces"):

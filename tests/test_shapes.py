@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -19,6 +20,7 @@ from mongekit.errors import (
 )
 from mongekit.kernel import DEFAULT_TOLERANCE
 from mongekit.menelaus import Homothety
+from mongekit.monge import MongeConfig
 from mongekit.shapes import (
     Ball,
     HalfspaceSet,
@@ -156,8 +158,13 @@ def test_halfspace_nonunique_and_infeasible():
     b = HalfspaceSet(constraints=(((1.0, 0.0), 1.0),))
     with pytest.raises(NonUniqueHomothety):
         detect_homothety(a, b)
+    # construction solves no LP: an empty set is caught on first use
+    empty = HalfspaceSet(constraints=(((1.0, 0.0), 1.0), ((-1.0, 0.0), 0.0)))
     with pytest.raises(InfeasibleRegion):
-        HalfspaceSet(constraints=(((1.0, 0.0), 1.0), ((-1.0, 0.0), 0.0)))
+        detect_homothety(empty, halfplane_family(1))
+    with pytest.raises(InfeasibleRegion) as caught:
+        MongeConfig.build((empty, halfplane_family(1), halfplane_family(2)))
+    assert caught.value.pair == (1, 2)
 
 
 def test_halfspace_apply_roundtrip():
@@ -242,6 +249,40 @@ def test_constraint_matching_picks(seed):
     assert _match_constraints(src, dst, DEFAULT_TOLERANCE, False) == want
 
 
+def test_constraint_matching_in_blocks_matches_reference():
+    # 200 constraints in 2D take two row blocks.  Source v + d in the second
+    # block is nearest to target v + 0.9 d, which v took in the first block,
+    # so it must take v - d
+    rng = np.random.default_rng(5)
+    base = [rng.normal(size=2) for _ in range(100)]
+    steps = [rng.normal(scale=1e-8, size=2) for _ in base]
+    normals = base + [v + d for v, d in zip(base, steps)]
+    targets = [v + 0.9 * d for v, d in zip(base, steps)] + [v - d for v, d in zip(base, steps)]
+    src = HalfspaceSet(constraints=tuple((tuple(v), -1.0) for v in normals))
+    dst = HalfspaceSet(constraints=tuple(
+        (tuple(targets[k]), -float(rng.uniform(1, 3))) for k in rng.permutation(200)))
+    assert shapes._MATCH_BLOCK // (200 * 2) < 200
+    assert _match_constraints(src, dst, DEFAULT_TOLERANCE, False) == _greedy_reference(
+        src, dst, DEFAULT_TOLERANCE)
+
+
+def test_constraint_matching_memory_stays_small():
+    # one m x m x n broadcast peaked near 190 MB at m = 2000; row blocks
+    # keep the peak near the size of one block
+    m = 2000
+    angles = np.linspace(0.0, 2.0 * math.pi, m, endpoint=False)
+    src, dst = (HalfspaceSet(constraints=tuple(
+        ((math.cos(t), math.sin(t)), d) for t in angles)) for d in (-1.0, -2.0))
+    tracemalloc.start()
+    try:
+        matched = _match_constraints(src, dst, DEFAULT_TOLERANCE, False)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(matched) == m
+    assert peak < 16e6
+
+
 def test_constraint_matching_tie_takes_first():
     # (1, 0) is equally near both tilted normals; it takes the first unused
     t = 1e-6
@@ -312,5 +353,8 @@ def test_halfspace_feasibility_calls_module_linprog(monkeypatch):
         return real(*args, **kwargs)
 
     monkeypatch.setattr(shapes, "linprog", counting)
-    halfplane_family(2)
-    assert len(calls) == 1
+    hs = halfplane_family(2)
+    assert len(calls) == 0  # construction solves no LP
+    for _ in range(2):
+        detect_homothety(hs, halfplane_family(1))
+    assert len(calls) == 1  # the source's check, once; the targets inherit it
