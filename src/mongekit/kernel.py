@@ -11,12 +11,13 @@ lcm of its denominators and reduced by fraction-free (Bareiss)
 elimination, so rank, null space, solve and hyperplane fit never add or
 multiply Fractions.  Fractions are built only for the values handed back.
 
-Float fits factorise once: one SVD of the centered rows gives both the
-rank (the affine span dimension) and the null direction (the normal), with
-no special case for m = n points.  Each backend has one canonical form for
-a normal, _normalize_float (largest entry 1) and _normalize_exact (a
-primitive integer vector from _cleared and one gcd); the other modules
-reuse these rather than keeping their own.
+Fits factorise once: one SVD of the centered rows (one echelon of the rows
+(p, 1) when exact) gives the affine span dimension and the normal; m = n
+points need no special case, and a lower span (one point apart) gets its
+plane through the points from the same factorisation.
+Each backend has one canonical form for a normal, _normalize_float (largest
+entry 1) and _normalize_exact (a primitive integer vector from _cleared and
+one gcd); the other modules reuse these rather than keeping their own.
 """
 
 from __future__ import annotations
@@ -375,36 +376,44 @@ def _bbox_diameter(a: np.ndarray) -> float:
 
 
 def _fit_exact(pts):
+    """(plane, 0, span) from one elimination, or NonCoplanar."""
     n = len(pts[0])
     echelon, pivots = _homogeneous_echelon(pts)
-    r = len(pivots) - 1
-    if r == n:
+    span = len(pivots) - 1
+    if span == n:
         raise NonCoplanar("points do not lie in a common hyperplane")
-    if r < n - 1:
-        raise DegenerateConfiguration(
-            f"points span affine dimension {r} < {n - 1}", span_dim=r
-        )
+    if span == 0 < n - 1:
+        # one point p: the plane x_1 = p_1
+        return Hyperplane(*_normalize_exact([1] + [0] * (n - 1), pts[0][0])), Fraction(0), 0
     # (p, 1) @ (normal, -offset) = 0 for every point p
     free = next(c for c in range(n + 1) if c not in pivots)
     u = _null_vector(echelon, pivots, free)
-    return Hyperplane(*_normalize_exact(u[:n], -u[n])), Fraction(0)
+    return Hyperplane(*_normalize_exact(u[:n], -u[n])), Fraction(0), span
 
 
 def _fit_float(a: np.ndarray, tol: Tolerance):
+    """(plane, residual, span) of float rows ``a`` from one SVD."""
     n = a.shape[1]
     centroid = a.mean(axis=0)
     span, normal = _null_direction(a - centroid, tol)
-    if span < n - 1:
-        raise DegenerateConfiguration(
-            f"points span affine dimension {span} < {n - 1}", span_dim=span
-        )
+    if span == 0 < n - 1:
+        # one point: x_1 = p_1, residual 0 (dev / diam would measure noise by noise)
+        e1 = np.eye(n)[0]
+        return Hyperplane(*_normalize_float(e1, float(e1 @ centroid))), 0.0, 0
     plane = Hyperplane(*_normalize_float(normal, float(normal @ centroid)))
     nrm = math.sqrt(sum(x ** 2 for x in plane.normal))
     dev = np.abs(a @ np.asarray(plane.normal) - plane.offset) / nrm
     maxdev = float(dev.max())
     if maxdev == 0.0:
-        return plane, 0.0
-    return plane, maxdev / _bbox_diameter(a)
+        return plane, 0.0, span
+    return plane, maxdev / _bbox_diameter(a), span
+
+
+def _fit(pts, tol: Tolerance, exact):
+    """(plane, residual, span) of rectangular ``pts``; a low span does not raise."""
+    if exact:
+        return _fit_exact(pts)
+    return _fit_float(_as_float_rows(pts), tol)
 
 
 def fit_hyperplane(points, tol: Tolerance = DEFAULT_TOLERANCE):
@@ -416,6 +425,7 @@ def fit_hyperplane(points, tol: Tolerance = DEFAULT_TOLERANCE):
     the points when there are only n of them (no special case).  The
     residual is the largest point deviation divided by the bounding-box
     diameter.  The exact backend returns residual 0 or raises NonCoplanar.
+    Points spanning fewer than n - 1 dimensions raise DegenerateConfiguration.
     """
     pts = list(points)
     if not pts:
@@ -426,6 +436,9 @@ def fit_hyperplane(points, tol: Tolerance = DEFAULT_TOLERANCE):
         raise InvalidInput("points must have dimension >= 1")
     if len(pts) < n:
         raise DimensionMismatch(f"need at least {n} points in dimension {n}")
-    if is_exact(pts):
-        return _fit_exact(pts)
-    return _fit_float(_as_float_rows(pts), tol)
+    plane, residual, span = _fit(pts, tol, is_exact(pts))
+    if span < n - 1:
+        raise DegenerateConfiguration(
+            f"points span affine dimension {span} < {n - 1}", span_dim=span
+        )
+    return plane, residual

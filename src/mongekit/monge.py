@@ -7,8 +7,9 @@ it detects the homothety from the first input shape to each other one,
 whatever its ratio, and sorts by those ratios, largest first (index 1 is
 the largest shape).  run_monge detects the n homotheties onto shape 1,
 gets every other pair's by composition (the classical proof of Monge's
-theorem), and fits a hyperplane through the n(n+1)/2 centers; for
-genuinely homothetic input families the fit succeeds with tiny residual.
+theorem), and fits a hyperplane through the n(n+1)/2 centers on the maps'
+backend; the fit gives their span too, and for genuinely homothetic input
+families a tiny residual.
 """
 
 from __future__ import annotations
@@ -16,10 +17,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 from .errors import (
-    DegenerateConfiguration,
+    BackendMixError,
     DimensionMismatch,
     GeometryError,
     InvalidInput,
@@ -27,18 +26,7 @@ from .errors import (
     NotHomothetic,
     RatioNotGreaterThanOne,
 )
-from .kernel import (
-    DEFAULT_TOLERANCE,
-    Hyperplane,
-    Tolerance,
-    _bbox_diameter,
-    _exact_nullspace,
-    _normalize_exact,
-    _normalize_float,
-    _null_direction,
-    fit_hyperplane,
-    is_exact,
-)
+from .kernel import DEFAULT_TOLERANCE, Hyperplane, Tolerance, _fit
 from .menelaus import all_pairs
 from .shapes import _homothety, detect_homothety
 
@@ -111,35 +99,6 @@ class MongeReport:
     verdict: bool
 
 
-def _canonical_plane_through(points, span, exact, tol: Tolerance):
-    """Some hyperplane containing the low-dimensional span of ``points``, and
-    its residual: the largest deviation over the bounding-box diameter, as
-    fit_hyperplane measures it."""
-    if exact:
-        base = points[0]
-        if span == 0:
-            normal = tuple(Fraction(int(k == 0)) for k in range(len(base)))
-        else:
-            diffs = [[Fraction(x) - Fraction(b) for x, b in zip(p, base)] for p in points[1:]]
-            normal = _exact_nullspace(diffs, len(base))[0]
-        offset = sum(a * Fraction(x) for a, x in zip(normal, base))
-        return Hyperplane(*_normalize_exact(normal, offset)), Fraction(0)
-    pts = np.asarray([[float(x) for x in p] for p in points])
-    centroid = pts.mean(axis=0)
-    if span == 0:
-        normal = np.zeros(pts.shape[1])
-        normal[0] = 1.0
-    else:
-        normal = _null_direction(pts - centroid, tol)[1]
-    plane = Hyperplane(*_normalize_float(normal, float(normal @ centroid)))
-    dev = max(plane.distance(p) for p in pts)
-    # span 0: the points are one point within tolerance, so their spread is
-    # noise, and dev / diam measures noise against itself
-    if span == 0 or dev == 0.0:
-        return plane, 0.0
-    return plane, dev / _bbox_diameter(pts)
-
-
 def run_monge(config: MongeConfig, tol: Tolerance = DEFAULT_TOLERANCE) -> MongeReport:
     """Find all pairwise homothety centers and test their coplanarity.
 
@@ -147,10 +106,10 @@ def run_monge(config: MongeConfig, tol: Tolerance = DEFAULT_TOLERANCE) -> MongeR
     carry the pair (1, k)); pair (i, j) is g_i^-1 o g_j, with ratio
     s_j / s_i and center (u_i - u_j) / (s_j - s_i), where s_j > s_i holds
     in the order MongeConfig.build gives the shapes.  The verdict is true
-    when the centers fit a hyperplane within tolerance, including the
-    degenerate situation where they span fewer than n-1 dimensions (then
-    the report's degenerate flag is set and a canonical containing
-    hyperplane is returned).
+    when the centers fit a hyperplane within tolerance.  Centers spanning
+    fewer than n-1 dimensions pass too: the report sets its degenerate
+    flag and span_dim and returns the plane through them that the same
+    fit found (x_1 = c_1 when they are one point).
     """
     n = config.dimension
     g = {}
@@ -169,18 +128,19 @@ def run_monge(config: MongeConfig, tol: Tolerance = DEFAULT_TOLERANCE) -> MongeR
             raise RatioNotGreaterThanOne("shapes are not in decreasing size", pair=(i, j))
         centers[(i, j)] = tuple((a - b) / gap for a, b in zip(u[i], u[j]))
         ratios[(i, j)] = g[j].ratio / g[i].ratio
-    points = list(centers.values())
-    exact = is_exact([list(p) for p in points])
+    # exact detections give Fraction ratios: the backend the fit runs on
+    backends = {isinstance(h.ratio, Fraction) for h in g.values()}
+    if len(backends) > 1:
+        raise BackendMixError("cannot mix Fraction and float scalars in one input")
+    exact = backends.pop()
     plane = residual = span = None
     try:
-        plane, residual = fit_hyperplane(points, tol)
-        verdict = residual <= (0 if exact else tol.scaled(1.0))
+        plane, residual, span = _fit(list(centers.values()), tol, exact)
+        # centers spanning fewer than n-1 dimensions always lie on a hyperplane
+        span = span if span < n - 1 else None
+        verdict = span is not None or residual <= (0 if exact else tol.scaled(1.0))
     except NonCoplanar:
         verdict = False
-    except DegenerateConfiguration as e:
-        span = e.span_dim
-        plane, residual = _canonical_plane_through(points, span, exact, tol)
-        verdict = True
     return MongeReport(
         centers=centers, ratios=ratios, hyperplane=plane, residual=residual,
         degenerate=span is not None, span_dim=span, verdict=bool(verdict),

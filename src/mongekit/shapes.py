@@ -548,12 +548,14 @@ def detect_homothety(src, dst, tol: Tolerance = DEFAULT_TOLERANCE) -> Homothety:
 
     Shapes must share kind and dimension.  Equal sizes mean the map is a
     translation and raise RatioNotGreaterThanOne, as does a target smaller
-    than the source; shape pairs that no homothety relates raise
-    NotHomothetic; pairs related by infinitely many (parallel half-plane
-    translates, say) raise NonUniqueHomothety.  A float ratio or center
-    that overflows (sizes too far apart) raises InvalidInput.
+    than the source; pairs that no homothety relates, or only a negative
+    one, raise NotHomothetic; pairs related by infinitely many (parallel
+    half-plane translates, say) raise NonUniqueHomothety.  A float ratio or
+    center that overflows (sizes too far apart) raises InvalidInput.
     """
     h = _homothety(src, dst, tol)
+    if h.ratio < 0:
+        raise NotHomothetic("no homothety with a positive ratio relates the shapes")
     if h.ratio < 1:
         raise RatioNotGreaterThanOne(_MAPS[type(src)][1])
     return h

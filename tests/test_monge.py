@@ -1,3 +1,4 @@
+import sys
 from fractions import Fraction
 from itertools import combinations, permutations
 
@@ -6,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from mongekit.errors import NotHomothetic, RatioNotGreaterThanOne
+from mongekit.errors import BackendMixError, NotHomothetic, RatioNotGreaterThanOne
 from mongekit.kernel import rank
 from mongekit.kernel import Tolerance
 from mongekit.menelaus import (
@@ -14,7 +15,7 @@ from mongekit.menelaus import (
     edge_points_from_weights,
     monge_hyperplane_from_weights,
 )
-from mongekit import monge, shapes
+from mongekit import kernel, monge, shapes
 from mongekit.monge import MongeConfig, run_monge
 from mongekit.shapes import Ball, HalfspaceSet, VertexSet, apply_homothety, detect_homothety
 
@@ -283,6 +284,45 @@ def test_degenerate_residual_does_not_depend_on_scale():
         assert scaled.residual == pytest.approx(base.residual, abs=1e-15)
     # a power of two scales every rounding exactly
     assert report(2.0 ** -10).residual == report(2.0 ** 10).residual == base.residual
+
+
+@pytest.mark.parametrize("num", [float, Fraction])
+def test_degenerate_family_one_backend_decision_one_factorisation(monkeypatch, num):
+    # collinear ball centers in E^3: the homothety centers span a line, and
+    # the fit that found that span also gives the plane through it
+    balls = [Ball((num(t), num(2 * t), num(-t)), num(r))
+             for t, r in ((0, 6), (1, 4), (3, 3), (4, 1))]
+    config = MongeConfig.build(balls)
+    calls = {"is_exact": 0, "svd": 0}
+    real_is_exact, real_svd = kernel.is_exact, np.linalg.svd
+
+    def counting_is_exact(values):
+        calls["is_exact"] += 1
+        return real_is_exact(values)
+
+    def counting_svd(*args, **kwargs):
+        calls["svd"] += 1
+        return real_svd(*args, **kwargs)
+
+    for module in list(sys.modules.values()):
+        if module.__name__.startswith("mongekit") and \
+                getattr(module, "is_exact", None) is real_is_exact:
+            monkeypatch.setattr(module, "is_exact", counting_is_exact)
+    monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    report = run_monge(config)
+    assert (report.verdict, report.degenerate, report.span_dim) == (True, True, 1)
+    assert calls == {"is_exact": 0, "svd": 0 if num is Fraction else 1}
+    if num is Fraction:
+        assert all(report.hyperplane.evaluate(c) == 0 for c in report.centers.values())
+
+
+def test_mixed_backend_family_rejected():
+    # int data pair with either backend, so the maps onto an int shape carry a
+    # Fraction ratio beside a float one
+    family = [Ball((0, 0), 3), Ball((Fraction(6), Fraction(0)), Fraction(2)),
+              Ball((0.0, 6.0), 1.0)]
+    with pytest.raises(BackendMixError):
+        run_monge(MongeConfig.build(family))
 
 
 def test_halfplane_exact_pipeline():

@@ -4,8 +4,11 @@ import re
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mongekit.errors import ScenarioError
+from mongekit.kernel import Hyperplane
 from mongekit.generators import (
     GenSpec,
     gen_ball_config,
@@ -238,3 +241,43 @@ def test_atomic_write_failure_leaves_no_partial(tmp_path):
     with pytest.raises(TypeError):
         atomic_write_json(str(target), {"bad": object()})
     assert list(tmp_path.iterdir()) == []
+
+
+@st.composite
+def rational_ball_family(draw):
+    """n+1 rational balls in E^n whose centers lie on an affine subspace of
+    drawn dimension d <= n (d = 0: concentric balls)."""
+    n = draw(st.integers(2, 6))
+    d = draw(st.integers(0, n))
+    small = st.fractions(min_value=-6, max_value=6, max_denominator=3)
+    anchor = draw(st.lists(small, min_size=n, max_size=n))
+    directions = draw(st.lists(st.lists(st.integers(-3, 3), min_size=n, max_size=n),
+                               min_size=d, max_size=d))
+    radii = draw(st.lists(st.fractions(min_value=1, max_value=20, max_denominator=3),
+                          min_size=n + 1, max_size=n + 1, unique=True))
+    shapes = []
+    for r in radii:
+        coeffs = draw(st.lists(small, min_size=d, max_size=d))
+        center = [a + sum(c * v[k] for c, v in zip(coeffs, directions))
+                  for k, a in enumerate(anchor)]
+        shapes.append({"type": "ball", "center": [encode_number(x) for x in center],
+                       "radius": encode_number(r)})
+    return {"geometry": "euclidean", "dimension": n, "kind": "shapes", "shapes": shapes}
+
+
+@given(rational_ball_family())
+@settings(max_examples=60, deadline=None)
+def test_shapes_float_and_exact_reports_agree(obj):
+    floats = verify_scenario(parse_scenario(obj))
+    exact = verify_scenario(parse_scenario(obj, exact=True))
+    for key in ("verdict", "degenerate", "span_dim"):
+        assert floats[key] == exact[key], key
+    plane = exact["hyperplane"]
+    plane = Hyperplane(tuple(Fraction(x) for x in plane["normal"]), Fraction(plane["offset"]))
+    for got, want in zip(floats["centers"], exact["centers"]):
+        assert got["pair"] == want["pair"]
+        point = [Fraction(x) for x in want["point"]]
+        scale = max(1, max(abs(x) for x in point))
+        assert max(abs(g - float(w)) for g, w in zip(got["point"], point)) <= 1e-12 * scale
+        # the exact plane holds every exact center, degenerate families too
+        assert plane.evaluate(point) == 0

@@ -167,6 +167,22 @@ def test_halfspace_nonunique_and_infeasible():
     assert caught.value.pair == (1, 2)
 
 
+@pytest.mark.parametrize("num", [float, Fraction])
+def test_negative_halfspace_ratio_is_not_homothetic(num):
+    def triangle(offset):
+        # {x >= 0, y >= 0, -x - y >= offset}: empty for offset > 0
+        return HalfspaceSet(constraints=tuple(
+            (tuple(num(a) for a in normal), num(d))
+            for normal, d in (((1, 0), 0), ((0, 1), 0), ((-1, -1), offset))))
+
+    # the solved ratio onto the empty set is -1/3: no homothety, not a smaller target
+    with pytest.raises(NotHomothetic, match="no homothety with a positive ratio"):
+        detect_homothety(triangle(-3), triangle(1))
+    # a ratio in (0, 1) is still a target smaller than the source
+    with pytest.raises(RatioNotGreaterThanOne, match="target is smaller than source"):
+        detect_homothety(triangle(-3), triangle(-1))
+
+
 def test_halfspace_apply_roundtrip():
     c2 = halfplane_family(2)
     h = Homothety(center=(0.0, -1.0), ratio=4.0 / 3.0)
