@@ -17,6 +17,7 @@ tolerance (see the margin checks in the Euclidean branch).
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -164,8 +165,12 @@ class GenSpec:
             raise InvalidInput("seed must fit in 64 bits")
         if self.count < 0:
             raise InvalidInput("count must be non-negative")
-        if self.kind in ("balls", "vertex_sets") and not self.ratio_gap > 1:
-            raise InvalidInput("ratio_gap must exceed 1 for shape generation")
+        if self.kind in ("balls", "vertex_sets"):
+            if not self.ratio_gap > 1:
+                raise InvalidInput("ratio_gap must exceed 1 for shape generation")
+            # the largest shape is about ratio_gap ** dimension times the smallest
+            if self.dimension * math.log(self.ratio_gap) >= math.log(sys.float_info.max):
+                raise InvalidInput("ratio_gap ** dimension overflows the float range")
         if self.perturb is not None and not 0 < self.perturb < 1:
             raise InvalidInput("perturb must be in (0, 1)")
 

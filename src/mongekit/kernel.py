@@ -196,20 +196,6 @@ def _null_vector(echelon, pivots, free):
     return x
 
 
-def _exact_nullspace(rows, ncols):
-    """Basis of {x : rows @ x = 0} as Fraction tuples, one per free column,
-    with 1 in that column and 0 in the other free columns."""
-    if not rows:
-        return [tuple(Fraction(int(i == j)) for i in range(ncols)) for j in range(ncols)]
-    echelon, pivots = _integer_echelon(rows)
-    basis = []
-    for fc in range(ncols):
-        if fc not in pivots:
-            x = _null_vector(echelon, pivots, fc)
-            basis.append(tuple(Fraction(v, x[fc]) for v in x))
-    return basis
-
-
 def _exact_solve(a_rows, rhs):
     """Unique exact solution of ``a_rows @ x = rhs``.
 
@@ -239,9 +225,12 @@ def _homogeneous_echelon(points):
 
 def _rank_from(s: np.ndarray, tol: Tolerance) -> int:
     """Numerical rank from descending singular values ``s``: the count
-    above max(tol.abs, tol.rel * sigma_1)."""
+    above max(tol.abs, tol.rel * sigma_1).  InvalidInput when sigma_1 is
+    not finite: the rows' norm has left the float range."""
     if s.size == 0 or s[0] == 0.0:
         return 0
+    if not math.isfinite(s[0]):
+        raise InvalidInput("singular values overflow the float range")
     return int(np.sum(s > max(tol.abs, tol.rel * float(s[0]))))
 
 
@@ -395,7 +384,11 @@ def _fit_float(a: np.ndarray, tol: Tolerance):
     """(plane, residual, span) of float rows ``a`` from one SVD."""
     n = a.shape[1]
     centroid = a.mean(axis=0)
-    span, normal = _null_direction(a - centroid, tol)
+    centered = a - centroid
+    # nan or inf rows can make the SVD fail or return nan without error
+    if not np.isfinite(centered).all():
+        raise InvalidInput("points overflow the float range of the hyperplane fit")
+    span, normal = _null_direction(centered, tol)
     if span == 0 < n - 1:
         # one point: x_1 = p_1, residual 0 (dev / diam would measure noise by noise)
         e1 = np.eye(n)[0]

@@ -165,13 +165,15 @@ def _float_ratios(a_i, a_j, b, tol: Tolerance, pairs):
         direction = side / edge[:, None]
         # the part of b - a_i across the edge line, negated: same norm
         rej = d1 - _row_dots(d1, direction)[:, None] * direction
+        ratios = _row_dots(d1, d2) / _row_dots(d2, d2)
         _raise_first(pairs, [
             (edge == 0.0, DegenerateConfiguration, "vertices coincide"),
             ((_row_norms(d1) <= near) | (_row_norms(d2) <= near),
              CoincidesWithVertex, "edge point equals a vertex"),
             (_row_norms(rej) > near, NotOnLine, "point is off the vertex line"),
+            (~np.isfinite(ratios), InvalidInput, "signed ratio overflows the float range"),
         ])
-        return _row_dots(d1, d2) / _row_dots(d2, d2)
+        return ratios
 
 
 def _exact_ratio(a_i, a_j, b, pair):

@@ -108,7 +108,8 @@ def hyperboloid_point(coords) -> XnPoint:
     q = -_lorentz_dot(v, v)
     if q <= 0:
         raise NotTimelike("coordinates are not timelike")
-    if abs(q - 1.0) > 2 * SURFACE_SLACK:
+    # q is nan when the squares overflow
+    if not abs(q - 1.0) <= 2 * SURFACE_SLACK:
         raise InvalidInput(f"Lorentz norm {-q:.9f} is too far from -1 for a hyperboloid point")
     v = v / math.sqrt(q)
     if v[0] <= 0:

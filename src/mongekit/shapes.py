@@ -36,6 +36,7 @@ public helper but is off the verify path.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
@@ -143,10 +144,21 @@ class VertexSet(_Shape):
 
 
 def _unit_normal_float(normal, offset):
-    nrm = math.sqrt(sum(float(x) ** 2 for x in normal))
+    normal = [float(x) for x in normal]
+    try:
+        sq = sum(x ** 2 for x in normal)
+    except OverflowError:
+        sq = math.inf
+    # a sum of squares outside the normal float range has lost the norm;
+    # math.hypot scales first, but only there: elsewhere its last bit can
+    # differ from the plain sum's
+    nrm = math.sqrt(sq) if sys.float_info.min <= sq < math.inf else math.hypot(*normal)
     if nrm == 0.0:
         raise InvalidInput("half-space normal must be nonzero")
-    return tuple(float(x) / nrm for x in normal), float(offset) / nrm
+    offset = float(offset) / nrm
+    if not math.isfinite(offset):
+        raise InvalidInput("half-space offset overflows the float range at unit normal")
+    return tuple(x / nrm for x in normal), offset
 
 
 def _primitive_normal_exact(normal, offset):
@@ -199,8 +211,12 @@ class HalfspaceSet(_Shape):
         """True, or InfeasibleRegion when the constraints have an empty
         intersection: one float HiGHS LP, solved on first use.  A detection
         with a positive ratio onto this set sets it without an LP."""
-        a = -np.asarray([[float(x) for x in h.normal] for h in self.constraints])
-        b = -np.asarray([float(h.offset) for h in self.constraints])
+        try:
+            a = -np.asarray([[float(x) for x in h.normal] for h in self.constraints])
+            b = -np.asarray([float(h.offset) for h in self.constraints])
+        except OverflowError:  # exact data only: float data is finite already
+            raise InvalidInput("half-space data exceed the float range of the "
+                               "feasibility LP") from None
         res = linprog(np.zeros(self.dimension), A_ub=a, b_ub=b,
                       bounds=[(None, None)] * self.dimension, method="highs")
         if res.status != 0:
@@ -385,9 +401,12 @@ def _vertexset_map(src: VertexSet, dst: VertexSet, tol: Tolerance, exact: bool) 
     # at most the diameter, scales the tolerance
     reach = tol.scaled(math.sqrt(float(dev_to.max())))
     c = np.asarray(center)
-    near_target = dst._tree.query(c + lam * (pts_from - c), distance_upper_bound=reach)[0]
-    # the target pulled back by h against the source: distances shrink by lam
-    near_image = src._tree.query(c + (pts_to - c) / lam, distance_upper_bound=reach / lam)[0]
+    try:
+        near_target = dst._tree.query(c + lam * (pts_from - c), distance_upper_bound=reach)[0]
+        # the target pulled back by h against the source: distances shrink by lam
+        near_image = src._tree.query(c + (pts_to - c) / lam, distance_upper_bound=reach / lam)[0]
+    except ValueError:  # the tree refuses non-finite points: the images overflowed
+        raise InvalidInput("vertex images under the homothety overflow the float range") from None
     if np.isinf(near_target).any() or np.isinf(near_image).any():
         raise NotHomothetic("centroid and second moment agree but vertices do not map")
     return h

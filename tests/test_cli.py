@@ -1,11 +1,19 @@
+import contextlib
+import copy
+import io
 import json
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from mongekit import cli
 from mongekit.cli import main
+from mongekit.generators import GenSpec, gen_menelaus_case
+from mongekit.scenario import encode_number, scenario_to_object
 
 
 THREE_CIRCLES = {
@@ -32,6 +40,17 @@ HALF_PLANES = {
         ]} for i in (1, 2, 3)
     ],
 }
+
+
+# criterion 2's y >= 0 variant: {x >= 0, y >= 0, x + y >= 4 - i}, i = 1, 2, 3,
+# whose homothety centers all sit at the origin
+ORIGIN_HALF_PLANES = {**HALF_PLANES, "shapes": [
+    {"type": "halfspaces", "constraints": [
+        {"normal": [1, 0], "offset": 0},
+        {"normal": [0, 1], "offset": 0},
+        {"normal": [1, 1], "offset": 4 - i},
+    ]} for i in (1, 2, 3)
+]}
 
 
 def write_scenario(path, obj):
@@ -133,8 +152,8 @@ def test_verify_missing_and_malformed_files(tmp_path, capsys):
     bad = tmp_path / "broken.json"
     bad.write_text("{not json")
     assert main(["verify", "--input", str(bad)]) == 2
-    out = capsys.readouterr().out
-    assert out.count('"error"') == 2
+    errors = [json.loads(line)["error"] for line in capsys.readouterr().out.splitlines()]
+    assert [e["code"] for e in errors] == ["ScenarioError", "ScenarioError"]
 
 
 def test_verify_non_utf8_file_exits_2(tmp_path, capsys):
@@ -156,20 +175,25 @@ def test_verify_deeply_nested_file_exits_2(tmp_path, capsys):
 
 
 def test_verify_stdout_report(tmp_path, capsys):
-    src = write_scenario(tmp_path / "s.json", THREE_CIRCLES)
-    assert main(["verify", "--input", src]) == 0
-    out = capsys.readouterr().out
-    assert out.endswith("}\n") and out.count("\n") == 1
-    report = json.loads(out)
-    assert report["verdict"] is True
-    assert [c["point"] for c in report["centers"]] == [
-        [18.0, 0.0], [0.0, 9.0], [-6.0, 12.0]
-    ]
-    # the same one-line document as --output writes, up to the timing
-    code, written = run_verify(tmp_path, THREE_CIRCLES)
-    assert code == 0
-    del report["elapsed_seconds"], written["elapsed_seconds"]
-    assert written == report
+    for obj, centers, span_dim in (
+        (THREE_CIRCLES, [18.0, 0.0, 0.0, 9.0, -6.0, 12.0], None),
+        # all three centers at the origin, up to rounding: a degenerate
+        # family, still true
+        (ORIGIN_HALF_PLANES, pytest.approx([0.0] * 6, abs=1e-15), 0),
+    ):
+        src = write_scenario(tmp_path / "s.json", obj)
+        assert main(["verify", "--input", src]) == 0
+        out = capsys.readouterr().out
+        assert out.endswith("}\n") and out.count("\n") == 1
+        report = json.loads(out)
+        assert report["verdict"] is True
+        assert [x for c in report["centers"] for x in c["point"]] == centers
+        assert (report["degenerate"], report["span_dim"]) == (span_dim is not None, span_dim)
+        # the same one-line document as --output writes, up to the timing
+        code, written = run_verify(tmp_path, obj)
+        assert code == 0
+        del report["elapsed_seconds"], written["elapsed_seconds"]
+        assert written == report
 
 
 def test_report_roundtrip(tmp_path):
@@ -258,25 +282,43 @@ def test_non_finite_tolerance_rejected(tmp_path, monkeypatch, capsys, flag, env)
 
 
 def test_generate_deterministic(tmp_path):
-    out1, out2 = tmp_path / "a", tmp_path / "b"
-    args = ["generate", "--dim", "3", "--kind", "edge_points",
-            "--count", "3", "--seed", "11"]
-    assert main([*args, "--out", str(out1)]) == 0
-    assert main([*args, "--out", str(out2)]) == 0
-    names = sorted(p.name for p in out1.iterdir())
-    assert names == ["scenario-11-0.json", "scenario-11-1.json", "scenario-11-2.json"]
-    for name in names:
-        assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+    # each corpus twice gives the same bytes, and the two copies of a file
+    # give the same report up to the timing
+    for corpus in (("euclidean", "edge_points", "3"), ("euclidean", "edge_points", "4"),
+                   ("spherical", "edge_points", "3"), ("spherical", "edge_points", "4"),
+                   ("euclidean", "balls", "4")):
+        geometry, kind, dim = corpus
+        out1, out2 = tmp_path / "-".join(corpus) / "a", tmp_path / "-".join(corpus) / "b"
+        args = ["generate", "--geometry", geometry, "--kind", kind, "--dim", dim,
+                "--count", "5", "--seed", "11"]
+        assert main([*args, "--out", str(out1)]) == 0
+        assert main([*args, "--out", str(out2)]) == 0
+        names = sorted(p.name for p in out1.iterdir())
+        assert names == [f"scenario-11-{k}.json" for k in range(5)]
+        for name in names:
+            assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), (corpus, name)
+            reports = []
+            for out in (out1, out2):
+                report = out / (name + ".report")
+                assert main(["verify", "--input", str(out / name),
+                             "--output", str(report)]) == 0
+                reports.append(json.loads(report.read_text()))
+                del reports[-1]["elapsed_seconds"]
+            assert reports[0] == reports[1], (corpus, name)
 
 
 def test_generate_negative_and_verify(tmp_path):
-    out = tmp_path / "neg"
-    assert main(["generate", "--dim", "2", "--kind", "edge_points", "--count", "2",
-                 "--seed", "4", "--perturb", "0.01", "--out", str(out)]) == 0
-    obj = json.loads((out / "scenario-4-0.json").read_text())
-    assert obj["expect"] is False
-    assert main(["verify", "--input", str(out / "scenario-4-0.json"),
-                 "--output", str(tmp_path / "r.json")]) == 0
+    for geometry, dim in (("euclidean", "2"), ("hyperbolic", "4")):
+        out = tmp_path / geometry
+        assert main(["generate", "--geometry", geometry, "--dim", dim,
+                     "--kind", "edge_points", "--count", "3", "--seed", "4",
+                     "--perturb", "0.01", "--out", str(out)]) == 0
+        for k in range(3):
+            src = out / f"scenario-4-{k}.json"
+            assert json.loads(src.read_text())["expect"] is False
+            report = tmp_path / "r.json"
+            assert main(["verify", "--input", str(src), "--output", str(report)]) == 0
+            assert json.loads(report.read_text())["verdict"] is False, (geometry, k)
 
 
 def test_generate_shape_kinds_verify_clean(tmp_path):
@@ -290,16 +332,21 @@ def test_generate_shape_kinds_verify_clean(tmp_path):
 
 
 def test_generate_rational_exact(tmp_path):
-    out = tmp_path / "rat"
-    assert main(["generate", "--dim", "2", "--kind", "edge_points", "--rational",
-                 "--count", "1", "--seed", "5", "--out", str(out)]) == 0
-    src = str(out / "scenario-5-0.json")
-    report = tmp_path / "r.json"
-    assert main(["verify", "--input", src, "--exact",
-                 "--output", str(report)]) == 0
-    rep = json.loads(report.read_text())
-    assert rep["hyperplane_residual"] == 0
-    assert all(t["residual"] == 0 for t in rep["triple_products"])
+    for dim, perturb in (("2", []), ("6", []), ("6", ["--perturb", "0.01"])):
+        out = tmp_path / f"rat-{dim}-{len(perturb)}"
+        assert main(["generate", "--dim", dim, "--kind", "edge_points", "--rational",
+                     "--count", "3", "--seed", "5", *perturb, "--out", str(out)]) == 0
+        for k in range(3):
+            report = tmp_path / "r.json"
+            assert main(["verify", "--input", str(out / f"scenario-5-{k}.json"), "--exact",
+                         "--output", str(report)]) == 0
+            rep = json.loads(report.read_text())
+            assert rep["exact"] is True
+            if perturb:
+                assert rep["verdict"] is False, (dim, k)
+            else:
+                assert rep["hyperplane_residual"] == 0
+                assert all(t["residual"] == 0 for t in rep["triple_products"])
 
 
 def test_parser_built_once_per_process(tmp_path):
@@ -490,3 +537,172 @@ def test_half_planes_import_scipy_on_first_lp(tmp_path):
     codes, loaded = fresh_verify([write_scenario(tmp_path / "h.json", HALF_PLANES)])
     assert codes == [0]
     assert "scipy.optimize" in loaded
+
+
+def _numbers(obj):
+    """(container, key) of every coordinate, radius and offset of a scenario."""
+    if isinstance(obj, dict):
+        items = [(k, v) for k, v in obj.items() if k not in ("dimension", "pair")]
+    elif isinstance(obj, list):
+        items = list(enumerate(obj))
+    else:
+        return []
+    out = []
+    for k, v in items:
+        if isinstance(v, (int, float, Fraction)) and not isinstance(v, bool):
+            out.append((obj, k))
+        else:
+            out.extend(_numbers(v))
+    return out
+
+
+def _family(first, *rest):
+    return {"geometry": "euclidean", "dimension": 2, "kind": "shapes",
+            "shapes": [first, *(rest or (_triangle(1), _triangle(2)))]}
+
+
+def _halfspaces(*constraints):
+    return {"type": "halfspaces",
+            "constraints": [{"normal": n, "offset": d} for n, d in constraints]}
+
+
+# weights (1, 2, 4) on the triangle (0, 0), (4, 0), (0, 4)
+EDGE_POINTS = {"geometry": "euclidean", "dimension": 2, "kind": "edge_points",
+               "vertices": [[0, 0], [4, 0], [0, 4]],
+               "edge_points": [{"pair": [1, 2], "point": [-4, 0]},
+                               {"pair": [1, 3], "point": [0, Fraction(-4, 3)]},
+                               {"pair": [2, 3], "point": [8, -4]}]}
+CURVED = [
+    scenario_to_object(gen_menelaus_case(
+        GenSpec(dimension=2, seed=1, kind="edge_points", geometry=g)), geometry=g)
+    for g in ("spherical", "hyperbolic")
+]
+
+# finite input whose arithmetic leaves the float range; each exited 3
+# (InternalError), or printed NaN, before it was caught as bad input.
+# Entries: scenario (None for a generate call), extra arguments, fields of
+# the expected error.
+OVERFLOW_REPROS = {
+    # the squares of the normal overflow
+    "normal-1e200": (_family(_halfspaces(([1, 0], 0), ([0, 1], 0), ([1e200, 1e200], 1e200))),
+                     [], {"code": "NotHomothetic", "pair": [1, 2]}),
+    # the offset at unit normal overflows
+    "offset-1e300": (_family(_halfspaces(([1e-160, 0], 1e300), ([0, 1], 0), ([-1, -1], -3))),
+                     [], {"code": "ScenarioError", "where": "$.shapes[0]"}),
+    # the squares underflow: the normal is not zero, and the set is empty
+    "normal-1e-170": (_family(_halfspaces(([1e-170, 0], 0), ([0, 1], 0), ([-1, -1], 1))),
+                      [], {"code": "ScenarioError", "where": "$.shapes[0]",
+                           "message": "half-space constraints have empty intersection"}),
+    # the second moments overflow
+    "vertices-1e200": (_family(*({"type": "vertices", "points": p} for p in (
+        [[0, 0], [1, 0], [0, 1e200]], [[0, 0], [2, 0], [0, 2e200]],
+        [[5, 5], [8, 5], [5, 3e200]]))), [], {"code": "InvalidInput", "pair": [1, 2]}),
+    # the exact offset has no float copy for the feasibility LP
+    "exact-offset-10**400": (_family(_halfspaces(([1, 0], 0), ([0, 1], 0),
+                                                 ([-1, -1], -10 ** 400))),
+                             ["--exact"], {"code": "ScenarioError", "where": "$.shapes[0]"}),
+    # the centers are finite, but not their differences from their centroid
+    "ball-center-1.8e308": (_family(*THREE_CIRCLES["shapes"][:2], {
+        "type": "ball", "center": [sys.float_info.max, 6], "radius": 1e200}),
+        [], {"code": "InvalidInput",
+             "message": "points overflow the float range of the hyperplane fit"}),
+    # the signed ratio is inf / inf
+    "edge-point-2e160": ({**EDGE_POINTS, "edge_points": [
+        {"pair": [1, 2], "point": [2e160, 0]}, {"pair": [1, 3], "point": [0, "-4/3"]},
+        {"pair": [2, 3], "point": [8, -4]}]}, [], {"code": "InvalidInput", "pair": [1, 2]}),
+    # the Lorentz form of the vertices is inf - inf
+    "hyperbolic-1e300": ({**CURVED[1], "vertices": [[1e300 * x for x in v]
+                                                    for v in CURVED[1]["vertices"]]},
+                         [], {"code": "ScenarioError", "where": "$"}),
+    "ratio-gap-1e308": (None, ["generate", "--dim", "2", "--kind", "balls",
+                               "--ratio-gap", "1e308"], {"code": "InvalidInput"}),
+}
+
+
+@pytest.mark.parametrize("name", list(OVERFLOW_REPROS))
+def test_finite_input_outside_float_range_exits_2(tmp_path, capsys, name):
+    obj, extra, expected = OVERFLOW_REPROS[name]
+    if obj is None:
+        argv = [*extra, "--out", str(tmp_path)]
+    else:
+        argv = ["verify", "--input", write_scenario(tmp_path / "s.json", obj), *extra]
+    assert main(argv) == 2
+    err = json.loads(capsys.readouterr().out)["error"]
+    assert expected.items() <= err.items(), err
+
+
+# magnitudes from the smallest subnormal to the largest finite float
+MAGNITUDES = [5e-324, 1e-310, 1e-200, 1e-160, 1e-100, 1e-10, 1.0,
+              1e10, 1e100, 1e154, 1e160, 1e200, 1e300, sys.float_info.max]
+FLOAT_EXTREMES = st.builds(lambda m, sign: sign * m, st.sampled_from(MAGNITUDES),
+                           st.sampled_from([1.0, -1.0]))
+EXACT_EXTREMES = st.one_of(
+    st.sampled_from([10 ** 400, -10 ** 400]),
+    st.builds(lambda k, e: Fraction(k) * Fraction(10) ** e,
+              st.sampled_from([1, -1, 3, -7]), st.integers(-400, 400)),
+)
+# homothetic families and true edge-point sets, for a scaling to carry to
+# the end of the pipeline
+TEMPLATES = [
+    THREE_CIRCLES,
+    _family(*({"type": "vertices", "points": [[0, 0], [k, 0], [0, k]]} for k in (1, 2, 3))),
+    _family(_triangle(1), _triangle(2), _triangle(3)),
+    EDGE_POINTS,
+    *CURVED,
+]
+
+
+@st.composite
+def extreme_scenarios(draw):
+    """(scenario, exact): a template with every number scaled by one extreme
+    factor, then up to two numbers replaced by extreme ones."""
+    exact = draw(st.booleans())
+    extremes = EXACT_EXTREMES if exact else FLOAT_EXTREMES
+    obj = copy.deepcopy(draw(st.sampled_from(TEMPLATES)))
+    slots = _numbers(obj)
+    factor = draw(st.one_of(st.just(1), extremes.map(abs)))
+    for container, key in slots:
+        container[key] = Fraction(container[key]) * factor
+    for container, key in draw(st.lists(st.sampled_from(slots), max_size=2)):
+        container[key] = draw(extremes)
+    for container, key in slots:
+        value = container[key]
+        container[key] = encode_number(Fraction(value)) if exact else float(value)
+    return obj, exact
+
+
+@pytest.fixture(scope="module")
+def scenario_file(tmp_path_factory):
+    return tmp_path_factory.mktemp("extreme") / "scenario.json"
+
+
+def _repro(name):
+    obj, extra, _ = OVERFLOW_REPROS[name]
+    return obj, "--exact" in extra
+
+
+@settings(max_examples=400, deadline=None)
+@given(case=extreme_scenarios())
+@example(case=_repro("normal-1e200"))
+@example(case=_repro("offset-1e300"))
+@example(case=_repro("normal-1e-170"))
+@example(case=_repro("vertices-1e200"))
+@example(case=_repro("exact-offset-10**400"))
+@example(case=_repro("ball-center-1.8e308"))
+@example(case=_repro("edge-point-2e160"))
+@example(case=_repro("hyperbolic-1e300"))
+def test_verify_exit_code_on_extreme_finite_input(scenario_file, case):
+    # bad input exits 2, never 3 (InternalError), with one line of strict
+    # JSON (no NaN or Infinity) either way
+    obj, exact = case
+    write_scenario(scenario_file, obj)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(["verify", "--input", str(scenario_file), *(["--exact"] if exact else [])])
+    assert code in (0, 1, 2), out.getvalue()
+    (line,) = out.getvalue().splitlines()
+    json.loads(line, parse_constant=_not_json)
+
+
+def _not_json(name):
+    raise ValueError(f"{name} is not JSON")

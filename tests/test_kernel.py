@@ -16,8 +16,9 @@ from mongekit.errors import (
 from mongekit.kernel import (
     Hyperplane,
     Tolerance,
-    _exact_nullspace,
     _exact_solve,
+    _integer_echelon,
+    _null_vector,
     affine_span_dim,
     affinely_independent,
     fit_hyperplane,
@@ -32,6 +33,9 @@ def test_rank_examples():
     # homogeneous rows of three collinear points
     assert rank([(18, 0, 1), (0, 9, 1), (-6, 12, 1)]) == 2
     assert rank([]) == 0
+    # full rank, but sigma_1 overflows: not rank 0
+    with pytest.raises(InvalidInput):
+        rank([[1.5e308, 1.5e308], [1.5e308, -1.5e308]])
 
 
 def test_rank_exact_backend():
@@ -170,16 +174,18 @@ def test_exact_rank_of_product(case):
 def test_exact_nullspace_basis(case):
     rows, r = case
     ncols = len(rows[0])
-    basis = _exact_nullspace(rows, ncols)
+    echelon, pivots = _integer_echelon(rows)
+    free = [c for c in range(ncols) if c not in pivots]
+    basis = [_null_vector(echelon, pivots, c) for c in free]
     assert len(basis) == ncols - r
     for x in basis:
         assert _times(rows, x) == [0] * len(rows)
-    # as from the reduced echelon form: 1 in its own free column, 0 in the
-    # others, where column c is free when it adds nothing to the rank
-    free = [c for c in range(ncols)
-            if rank([row[:c + 1] for row in rows]) == rank([row[:c] for row in rows])]
-    assert [[x[c] for c in free] for x in basis] == [
-        [int(i == j) for j in range(len(free))] for i in range(len(free))
+    # as from the reduced echelon form: nonzero in its own free column, 0 in
+    # the others, where column c is free when it adds nothing to the rank
+    assert free == [c for c in range(ncols)
+                    if rank([row[:c + 1] for row in rows]) == rank([row[:c] for row in rows])]
+    assert [[x[c] != 0 for c in free] for x in basis] == [
+        [i == j for j in range(len(free))] for i in range(len(free))
     ]
 
 
@@ -196,9 +202,11 @@ def test_exact_solve_consistent_and_inconsistent(case, data):
     else:
         assert _exact_solve(rows, rhs) == tuple(x0)
     # y @ rows = 0 for y in the left null space; adding y to rhs breaks consistency
-    left = _exact_nullspace([list(col) for col in zip(*rows)], len(rows))
-    if left:
-        assert _exact_solve(rows, [a + b for a, b in zip(rhs, left[0])]) is None
+    echelon, pivots = _integer_echelon([list(col) for col in zip(*rows)])
+    free = [c for c in range(len(rows)) if c not in pivots]
+    if free:
+        left = _null_vector(echelon, pivots, free[0])
+        assert _exact_solve(rows, [a + b for a, b in zip(rhs, left)]) is None
 
 
 @given(st.integers(2, 5), st.data())
@@ -283,6 +291,9 @@ def test_fit_hyperplane_degenerate_and_noncoplanar():
         fit_hyperplane([(Fraction(0), Fraction(0)), (Fraction(1), Fraction(0)), (Fraction(0), Fraction(1))])
     with pytest.raises(DimensionMismatch):
         fit_hyperplane([(1.0, 2.0)])
+    # these span the plane, but sigma_1 overflows: not a span of 0
+    with pytest.raises(InvalidInput):
+        fit_hyperplane([(1.5e308, 0.0), (-1.5e308, 0.0), (0.0, 1.5e308)])
 
 
 @given(st.integers(0, 10_000), st.integers(2, 5), st.integers(0, 3))
