@@ -14,7 +14,9 @@ multiply Fractions.  Fractions are built only for the values handed back.
 Fits factorise once: one SVD of the centered rows (one echelon of the rows
 (p, 1) when exact) gives the affine span dimension and the normal; m = n
 points need no special case, and a lower span (one point apart) gets its
-plane through the points from the same factorisation.
+plane through the points from the same factorisation.  An exact fit
+eliminates only the rows of the first n points when they fix a plane, and
+checks each other point by one integer dot product.
 Each backend has one canonical form for a normal, _normalize_float (largest
 entry 1) and _normalize_exact (a primitive integer vector from _cleared and
 one gcd); the other modules reuse these rather than keeping their own.
@@ -361,13 +363,34 @@ class Hyperplane:
 
 
 def _bbox_diameter(a: np.ndarray) -> float:
-    return float(np.linalg.norm(a.max(axis=0) - a.min(axis=0)))
+    """Diagonal of the bounding box of float rows ``a``; InvalidInput when
+    it exceeds the float range (a residual divided by inf would read 0)."""
+    with np.errstate(over="ignore"):
+        side = a.max(axis=0) - a.min(axis=0)
+        diam = float(np.linalg.norm(side))
+    if math.isinf(diam):
+        # the squares overflowed, maybe not the diagonal: scale by the longest side
+        top = float(side.max())
+        if math.isfinite(top):
+            diam = top * float(np.linalg.norm(side / top))
+        if math.isinf(diam):
+            raise InvalidInput("points overflow the float range of the hyperplane fit")
+    return diam
 
 
 def _fit_exact(pts):
-    """(plane, 0, span) from one elimination, or NonCoplanar."""
+    """(plane, 0, span), or NonCoplanar.
+
+    When the rows (p, 1) of the first n points have rank n, their null
+    vector is the only candidate plane, and each later point is one integer
+    dot product against it.  Otherwise one elimination of every row decides.
+    """
     n = len(pts[0])
-    echelon, pivots = _homogeneous_echelon(pts)
+    echelon, pivots = _homogeneous_echelon(pts[:n])
+    rest = pts[n:]
+    if len(pivots) < n:
+        echelon, pivots = _homogeneous_echelon(pts)
+        rest = ()
     span = len(pivots) - 1
     if span == n:
         raise NonCoplanar("points do not lie in a common hyperplane")
@@ -377,14 +400,19 @@ def _fit_exact(pts):
     # (p, 1) @ (normal, -offset) = 0 for every point p
     free = next(c for c in range(n + 1) if c not in pivots)
     u = _null_vector(echelon, pivots, free)
+    for p in rest:
+        ints, den = _cleared(p)
+        if sum(a * x for a, x in zip(u, ints)) + u[n] * den:
+            raise NonCoplanar("points do not lie in a common hyperplane")
     return Hyperplane(*_normalize_exact(u[:n], -u[n])), Fraction(0), span
 
 
 def _fit_float(a: np.ndarray, tol: Tolerance):
     """(plane, residual, span) of float rows ``a`` from one SVD."""
     n = a.shape[1]
-    centroid = a.mean(axis=0)
-    centered = a - centroid
+    with np.errstate(all="ignore"):
+        centroid = a.mean(axis=0)
+        centered = a - centroid
     # nan or inf rows can make the SVD fail or return nan without error
     if not np.isfinite(centered).all():
         raise InvalidInput("points overflow the float range of the hyperplane fit")

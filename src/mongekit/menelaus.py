@@ -12,7 +12,10 @@ The backend is chosen once per edge-point set.  On the float backend the
 ratios of all n(n+1)/2 pairs are computed in one batch, a fixed number of
 numpy operations on stacked (pairs, dimension) arrays; signed_ratio is the
 same batch with one row.  On the exact backend each ratio comes from
-cleared integer vectors.
+cleared integer vectors, each vertex and edge point cleared once per set;
+each triple residual is a quotient of integer cross-products of the ratios'
+numerators and denominators, and the fit eliminates the rows of n edge
+points and checks the others by integer dot products.
 """
 
 from __future__ import annotations
@@ -176,11 +179,11 @@ def _float_ratios(a_i, a_j, b, tol: Tolerance, pairs):
         return ratios
 
 
-def _exact_ratio(a_i, a_j, b, pair):
-    """signed_ratio of rational points, from their cleared integer vectors."""
+def _cleared_ratio(cleared_i, cleared_j, cleared_b, pair):
+    """signed_ratio of rational points given as _cleared (ints, den) pairs."""
     # with a = A / L_a (integer A, L_a > 0): a_i - b = D1 / (L_i L_b) and
     # a_j - b = D2 / (L_j L_b), so lambda = (D1 . D2) L_j / ((D2 . D2) L_i)
-    (ai, li), (aj, lj), (bb, lb) = _cleared(a_i), _cleared(a_j), _cleared(b)
+    (ai, li), (aj, lj), (bb, lb) = cleared_i, cleared_j, cleared_b
     d1 = [x * lb - y * li for x, y in zip(ai, bb)]
     d2 = [x * lb - y * lj for x, y in zip(aj, bb)]
     if not any(d2) or not any(d1):
@@ -191,6 +194,11 @@ def _exact_ratio(a_i, a_j, b, pair):
     num = sum(x * y for x, y in zip(d1, d2))
     den = sum(x * x for x in d2)
     return Fraction(num * lj, den * li)
+
+
+def _exact_ratio(a_i, a_j, b, pair):
+    """signed_ratio of rational points, from their cleared integer vectors."""
+    return _cleared_ratio(_cleared(a_i), _cleared(a_j), _cleared(b), pair)
 
 
 def signed_ratio(a_i, a_j, b, tol: Tolerance = DEFAULT_TOLERANCE, pair=None):
@@ -227,8 +235,10 @@ def _edge_ratios(eps: EdgePointSet, tol: Tolerance, exact):
     # the pairs before the first edge point of the wrong length are checked first
     good = next((k for k, b in enumerate(points) if len(b) != n), len(pairs))
     if exact:
+        # each vertex and each edge point is cleared once for the whole set
+        cleared = [_cleared(v) for v in eps.vertices]
         ratios = [
-            _exact_ratio(eps.vertices[i - 1], eps.vertices[j - 1], b, pair=(i, j))
+            _cleared_ratio(cleared[i - 1], cleared[j - 1], _cleared(b), pair=(i, j))
             for (i, j), b in zip(pairs[:good], points)
         ]
     else:
@@ -244,16 +254,28 @@ def _menelaus_report(lambdas, points, fit, tol: Tolerance, exact=False) -> Menel
     """Triple products and hyperplane fit of edge points, in any geometry.
 
     The verdict is true only when every triple residual and the fit
-    residual pass the tolerance (exact backend: both exactly 0).  Triple
-    products are evaluated as (lambda_ik / lambda_ij) / lambda_jk so that
-    like magnitudes cancel before anything can overflow.  ``fit`` returns
+    residual pass the tolerance (exact backend: both exactly 0).  Float
+    triple products are evaluated as (lambda_ik / lambda_ij) / lambda_jk so
+    that like magnitudes cancel before anything can overflow.  Exact ones
+    are cross-multiplied: with lambda = p/q that product is N/D for
+    N = p_ik q_ij q_jk and D = q_ik p_ij p_jk, so the residual is
+    |N - D| / |D| from integer products alone.  ``fit`` returns
     (hyperplane, residual) for the points.
     """
     count = max(j for _, j in lambdas)
-    triple_residuals = {
-        (i, j, k): abs((lambdas[(i, k)] / lambdas[(i, j)]) / lambdas[(j, k)] - 1)
-        for (i, j, k) in combinations(range(1, count + 1), 3)
-    }
+    triples = combinations(range(1, count + 1), 3)
+    if exact:
+        pq = {pair: (lam.numerator, lam.denominator) for pair, lam in lambdas.items()}
+        triple_residuals = {}
+        for (i, j, k) in triples:
+            (p_ij, q_ij), (p_ik, q_ik), (p_jk, q_jk) = pq[(i, j)], pq[(i, k)], pq[(j, k)]
+            den = q_ik * p_ij * p_jk
+            triple_residuals[(i, j, k)] = Fraction(abs(p_ik * q_ij * q_jk - den), abs(den))
+    else:
+        triple_residuals = {
+            (i, j, k): abs((lambdas[(i, k)] / lambdas[(i, j)]) / lambdas[(j, k)] - 1)
+            for (i, j, k) in triples
+        }
     thr = 0 if exact else tol.scaled(1.0)
     products_ok = all(r <= thr for r in triple_residuals.values())
     try:

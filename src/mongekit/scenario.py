@@ -38,6 +38,8 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
+
 from .errors import GeometryError, ScenarioError
 from .kernel import DEFAULT_TOLERANCE, Hyperplane, Tolerance
 from .menelaus import EdgePointSet, all_pairs, menelaus_products
@@ -113,10 +115,48 @@ def _number(value, exact, where):
     _fail("expected a number", where)
 
 
+def _float_scalar(x):
+    """_number of a finite float or of an int within the float range, else None."""
+    t = type(x)
+    if t is float:
+        return x if math.isfinite(x) else None
+    if t is int:
+        try:
+            return float(x)
+        except OverflowError:
+            return None
+    return None
+
+
+def _exact_scalar(x):
+    """_number of an int or an ASCII '-?digits/digits' string with a nonzero
+    denominator, else None."""
+    t = type(x)
+    if t is int:
+        return Fraction(x)
+    if t is str and x.isascii():
+        p, slash, q = x.partition("/")
+        if slash and q.isdigit() and p.removeprefix("-").isdigit():
+            try:
+                den = int(q)
+                return Fraction(int(p), den) if den else None
+            except ValueError:  # beyond int()'s digit limit
+                return None
+    return None
+
+
 def _point(value, length, exact, where):
+    """One pass over the array for the common scalar forms; the rest, and
+    every error with its JSON path, go through _number."""
     if not isinstance(value, list) or len(value) != length:
         _fail(f"expected a coordinate array of length {length}", where)
-    return tuple(_number(x, exact, f"{where}[{k}]") for k, x in enumerate(value))
+    scalar = _exact_scalar if exact else _float_scalar
+    out = [scalar(x) for x in value]
+    # not ``None in out``: that calls Fraction.__eq__ once per scalar
+    if any(o is None for o in out):
+        out = [_number(x, exact, f"{where}[{k}]") if o is None else o
+               for k, (o, x) in enumerate(zip(out, value))]
+    return tuple(out)
 
 
 def encode_number(x):
@@ -250,10 +290,12 @@ def parse_scenario(obj, exact=False) -> Scenario:
             payload = EdgePointSet(vertices=parsed_vertices, edge_points=points)
         else:
             build = sphere_point if geometry == SPHERICAL else hyperboloid_point
-            payload = XnConfig(
-                vertices=tuple(build(v) for v in parsed_vertices),
-                edge_points={k: build(p) for k, p in points.items()},
-            )
+            # a norm or Lorentz form beyond the float range fails the surface check
+            with np.errstate(all="ignore"):
+                payload = XnConfig(
+                    vertices=tuple(build(v) for v in parsed_vertices),
+                    edge_points={k: build(p) for k, p in points.items()},
+                )
     except GeometryError as e:
         raise ScenarioError(str(e), where="$") from e
     return Scenario(geometry, n, kind, payload, expect, exact)

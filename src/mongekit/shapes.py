@@ -384,11 +384,14 @@ def _vertexset_map(src: VertexSet, dst: VertexSet, tol: Tolerance, exact: bool) 
         return h
     pts_from = src._tree.data
     pts_to = dst._tree.data
-    g_from = pts_from.mean(axis=0)
-    g_to = pts_to.mean(axis=0)
-    m_from = float(np.square(pts_from - g_from).sum())
-    dev_to = np.square(pts_to - g_to).sum(axis=1)
-    m_to = float(dev_to.sum())
+    # a moment beyond the float range ends in InvalidInput below: a ratio of
+    # 0, or images the tree query refuses
+    with np.errstate(all="ignore"):
+        g_from = pts_from.mean(axis=0)
+        g_to = pts_to.mean(axis=0)
+        m_from = float(np.square(pts_from - g_from).sum())
+        dev_to = np.square(pts_to - g_to).sum(axis=1)
+        m_to = float(dev_to.sum())
     if m_from == 0.0 or m_to == 0.0:
         raise DegenerateShape("vertex set has zero diameter")
     lam = math.sqrt(m_to / m_from)

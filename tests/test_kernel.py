@@ -294,6 +294,44 @@ def test_fit_hyperplane_degenerate_and_noncoplanar():
     # these span the plane, but sigma_1 overflows: not a span of 0
     with pytest.raises(InvalidInput):
         fit_hyperplane([(1.5e308, 0.0), (-1.5e308, 0.0), (0.0, 1.5e308)])
+    # sigma_1 is finite, but the bounding box is wider than the float range
+    with pytest.raises(InvalidInput):
+        fit_hyperplane([(1e308, 0.0), (-1e308, 0.0), (0.0, 1e308)])
+
+    # exact: the first n points fix the plane and the rest are dot products,
+    # unless the first n are dependent; either way the plane is the one a
+    # single elimination of every row gives
+    F = Fraction
+    dependent_head = [(0, 0, 1), (1, 1, 1), (2, 2, 1), (1, 0, 1), (F(1, 2), 3, 1)]
+    spanning_head = [(1, 0, 0), (0, 1, 0), (0, 0, 1), (F(1, 3), F(1, 3), F(1, 3)), (2, -1, 0)]
+    exactly_n = [(1, 0, 0), (0, 2, 0), (0, 0, 3)]
+    for pts, plane in [
+        (dependent_head, Hyperplane((F(0), F(0), F(1)), F(1))),
+        (spanning_head, Hyperplane((F(1), F(1), F(1)), F(1))),
+        (exactly_n, Hyperplane((F(6), F(3), F(2)), F(6))),
+    ]:
+        assert fit_hyperplane(pts) == (plane, 0)
+        assert _eliminated_plane(pts) == plane
+    with pytest.raises(NonCoplanar):
+        fit_hyperplane(spanning_head + [(1, 1, 1)])
+    with pytest.raises(NonCoplanar):
+        fit_hyperplane(dependent_head + [(0, 0, 2)])
+    for pts, span in [
+        ([(0, 0, 0), (1, 2, 3), (2, 4, 6), (F(-1, 2), -1, F(-3, 2))], 1),
+        ([(F(1, 2), 1, 1)] * 4, 0),
+    ]:
+        with pytest.raises(DegenerateConfiguration) as err:
+            fit_hyperplane(pts)
+        assert err.value.span_dim == span
+
+
+def _eliminated_plane(pts):
+    """The plane of rational points from one elimination of every row (p, 1)."""
+    n = len(pts[0])
+    echelon, pivots = _integer_echelon([list(p) + [1] for p in pts])
+    free = next(c for c in range(n + 1) if c not in pivots)
+    u = _null_vector(echelon, pivots, free)
+    return Hyperplane.build(u[:n], -u[n])
 
 
 @given(st.integers(0, 10_000), st.integers(2, 5), st.integers(0, 3))

@@ -27,7 +27,7 @@ from mongekit.kernel import DEFAULT_TOLERANCE, Tolerance, fit_hyperplane, is_exa
 from mongekit.menelaus import (
     EdgePointSet,
     Homothety,
-    _exact_ratio,
+    _cleared_ratio,
     _float_ratios,
     _menelaus_report,
     all_pairs,
@@ -151,9 +151,9 @@ def test_each_exact_ratio_computed_once(monkeypatch):
 
     def counting(*args, **kwargs):
         calls.append(kwargs["pair"])
-        return _exact_ratio(*args, **kwargs)
+        return _cleared_ratio(*args, **kwargs)
 
-    monkeypatch.setattr(menelaus, "_exact_ratio", counting)
+    monkeypatch.setattr(menelaus, "_cleared_ratio", counting)
     monkeypatch.setattr(menelaus, "_float_ratios", None)
     for n in (2, 4):
         eps = gen_rational_case(GenSpec(dimension=n, seed=n, kind="edge_points"))
@@ -184,7 +184,7 @@ def test_one_backend_check_before_the_fit(monkeypatch):
 
 def test_backend_mix_raised_at_boundary(monkeypatch):
     calls = []
-    monkeypatch.setattr(menelaus, "_exact_ratio", lambda *a, **k: calls.append(1))
+    monkeypatch.setattr(menelaus, "_cleared_ratio", lambda *a, **k: calls.append(1))
     monkeypatch.setattr(menelaus, "_float_ratios", lambda *a, **k: calls.append(1))
     vertices = ((Fraction(0), Fraction(0)), (Fraction(1), Fraction(0)), (Fraction(0), Fraction(1)))
     eps = edge_points_from_weights(vertices, (Fraction(1), Fraction(2), Fraction(3)))
@@ -296,6 +296,27 @@ def test_fit_failure_policy(error, residual, verdict):
     assert report.hyperplane is None
     assert report.hyperplane_residual == residual
     assert report.verdict is verdict
+
+
+NONZERO_RATIONALS = st.fractions(min_value=-1000, max_value=1000, max_denominator=10**6).filter(bool)
+
+
+@given(NONZERO_RATIONALS, NONZERO_RATIONALS, NONZERO_RATIONALS, st.booleans())
+@settings(max_examples=200)
+def test_exact_triple_residual_is_cross_multiplied(a, b, c, holds):
+    if holds:
+        a = b * c
+
+    def fit(points, tol):
+        raise DegenerateConfiguration("no hyperplane fitted")
+
+    lambdas = {(1, 2): b, (1, 3): a, (2, 3): c}
+    report = _menelaus_report(lambdas, [], fit, Tolerance(), exact=True)
+    got = report.triple_residuals[(1, 2, 3)]
+    assert type(got) is Fraction
+    assert got == abs((a / b) / c - 1)
+    assert report.verdict is (got == 0)
+    assert got == 0 or not holds
 
 
 def test_weight_construction_small_triangle():

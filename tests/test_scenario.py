@@ -75,15 +75,71 @@ def test_exact_mode_number_rules():
         parse_scenario(bad, exact=True)
     assert where_of(e) == "$.shapes[0].center[0]"
 
+    # every accepted scalar form, in both modes
+    for value, as_float, as_exact in SCALAR_FORMS:
+        if not isinstance(as_float, dict):
+            assert repr(_parsed(value, False)) == repr(as_float), value
+            assert repr(_parsed(value, True)) == repr(as_exact), value
 
-@pytest.mark.parametrize("value", ["1/0", "a/b", "", True, None, [1]])
-def test_malformed_numbers_rejected(value):
+
+def _rejected(message):
+    return {"code": "ScenarioError", "message": message, "where": "$.shapes[0].center[0]"}
+
+
+# (value, float mode, exact mode) at one coordinate: the number parsed, or
+# the error object; the common forms take a fast path, the rest _number
+SCALAR_FORMS = [
+    ("1/0", _rejected("malformed rational '1/0'"), _rejected("malformed rational '1/0'")),
+    ("a/b", _rejected("malformed rational 'a/b'"), _rejected("malformed rational 'a/b'")),
+    ("", _rejected("malformed rational ''"), _rejected("malformed rational ''")),
+    (True, _rejected("expected a number"), _rejected("expected a number")),
+    (None, _rejected("expected a number"), _rejected("expected a number")),
+    ([1], _rejected("expected a number"), _rejected("expected a number")),
+    ("1/-2", _rejected("malformed rational '1/-2'"), _rejected("malformed rational '1/-2'")),
+    ("--1/2", _rejected("malformed rational '--1/2'"), _rejected("malformed rational '--1/2'")),
+    ("0/0", _rejected("malformed rational '0/0'"), _rejected("malformed rational '0/0'")),
+    ("1/2/3", _rejected("malformed rational '1/2/3'"), _rejected("malformed rational '1/2/3'")),
+    ("\u00b2/3", _rejected("malformed rational '\u00b2/3'"),
+     _rejected("malformed rational '\u00b2/3'")),
+    (10**400, _rejected("number is too large for a float"), Fraction(10**400)),
+    ("+1/2", 0.5, Fraction(1, 2)),
+    (" 1/2", 0.5, Fraction(1, 2)),
+    ("007/010", 0.7, Fraction(7, 10)),
+    ("-0/3", 0.0, Fraction(0)),
+    ("1_0/3", 10 / 3, Fraction(10, 3)),
+    ("\u0661/\u0662", 0.5, Fraction(1, 2)),  # Arabic-Indic digits
+    ("1.5", 1.5, Fraction(3, 2)),
+    ("1e3", 1000.0, Fraction(1000)),
+    ("3", 3.0, Fraction(3)),
+    (2**70, float(2**70), Fraction(2**70)),
+    (2.0, 2.0, Fraction(2)),
+    (2.5, 2.5, _rejected("exact mode needs integers or 'p/q' strings")),
+]
+
+
+def _parsed(value, exact):
+    """The number parsed at $.shapes[0].center[0], or the error object."""
     obj = {**BALLS, "shapes": [
         {"type": "ball", "center": [value, 0], "radius": 3},
         *BALLS["shapes"][1:],
     ]}
-    with pytest.raises(ScenarioError):
-        parse_scenario(obj)
+    try:
+        return parse_scenario(obj, exact=exact).payload[0].center[0]
+    except ScenarioError as e:
+        return e.as_object()
+
+
+_EXPECTED = {repr(value): (as_float, as_exact) for value, as_float, as_exact in SCALAR_FORMS}
+
+
+@pytest.mark.parametrize("value", [
+    pytest.param(value, id="10**400") if value == 10**400 else value
+    for value, as_float, _ in SCALAR_FORMS if isinstance(as_float, dict)
+])
+def test_malformed_numbers_rejected(value):
+    as_float, as_exact = _EXPECTED[repr(value)]
+    assert _parsed(value, False) == as_float
+    assert repr(_parsed(value, True)) == repr(as_exact)
 
 
 @pytest.mark.parametrize("patch,where", [
@@ -281,3 +337,17 @@ def test_shapes_float_and_exact_reports_agree(obj):
         assert max(abs(g - float(w)) for g, w in zip(got["point"], point)) <= 1e-12 * scale
         # the exact plane holds every exact center, degenerate families too
         assert plane.evaluate(point) == 0
+
+
+@given(st.integers(2, 6), st.integers(0, 2**32), st.booleans(), st.floats(1e-3, 0.1))
+@settings(max_examples=300, deadline=None)
+def test_edge_points_float_and_exact_verdicts_agree(n, seed, positive, perturb):
+    spec = GenSpec(dimension=n, seed=seed, kind="edge_points",
+                   perturb=None if positive else perturb)
+    obj = scenario_to_object(gen_rational_case(spec, positive=positive))
+    floats = verify_scenario(parse_scenario(obj))
+    exact = verify_scenario(parse_scenario(obj, exact=True))
+    assert floats["verdict"] == exact["verdict"] == positive
+    if exact["verdict"]:
+        residuals = [t["residual"] for t in floats["triple_products"]]
+        assert max(residuals + [floats["hyperplane_residual"]]) <= 1e-10
