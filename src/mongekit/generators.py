@@ -29,9 +29,8 @@ from .noneuclid import (
     HYPERBOLIC,
     SPHERICAL,
     XnConfig,
+    _surface_points,
     geodesic_distance,
-    hyperboloid_point,
-    sphere_point,
     xn_edge_points_from_weights,
     xn_homothety_image,
 )
@@ -361,7 +360,7 @@ def _draw_sphere_vertices(rng, n):
         if min(dists) < lo or max(dists) > hi:
             continue
         if _min_pivot(pts) >= PIVOT_REL:
-            return [sphere_point(p) for p in pts]
+            return _surface_points(SPHERICAL, pts)
     raise GenerationError("could not draw a spread spherical vertex tuple")
 
 
@@ -387,11 +386,11 @@ def _draw_hyperbolic_vertices(rng, n):
                   for i in range(n + 1) for j in range(i + 1, n + 1))
         if sep < HYPER_DIR_SEP:
             continue
-        pts = []
+        rows = []
         for w in dirs:
             u = [HYPER_RADIUS * x for x in w]
-            x0 = math.sqrt(1.0 + sum(x * x for x in u))
-            pts.append(hyperboloid_point([x0] + u))
+            rows.append([math.sqrt(1.0 + sum(x * x for x in u))] + u)
+        pts = _surface_points(HYPERBOLIC, rows)
         dists = [geodesic_distance(pts[i], pts[j])
                  for i in range(n + 1) for j in range(i + 1, n + 1)]
         if min(dists) < HYPER_MIN_DIST:

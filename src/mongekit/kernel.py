@@ -16,7 +16,9 @@ Fits factorise once: one SVD of the centered rows (one echelon of the rows
 points need no special case, and a lower span (one point apart) gets its
 plane through the points from the same factorisation.  An exact fit
 eliminates only the rows of the first n points when they fix a plane, and
-checks each other point by one integer dot product.
+checks each other point by one integer dot product.  A caller that already
+holds a set's cleared rows hands them to the private independence test and
+fit (``cleared``), so that no row is cleared twice.
 Each backend has one canonical form for a normal, _normalize_float (largest
 entry 1) and _normalize_exact (a primitive integer vector from _cleared and
 one gcd); the other modules reuse these rather than keeping their own.
@@ -120,17 +122,20 @@ def is_exact(values) -> bool:
     return not saw_float
 
 
-def _as_float_rows(rows):
-    a = np.asarray([[float(x) for x in r] for r in rows], dtype=float)
-    if a.ndim != 2:
-        raise DimensionMismatch("expected a rectangular table of rows")
-    return a
-
-
 def _check_rect(rows):
     lens = {len(r) for r in rows}
     if len(lens) > 1:
         raise DimensionMismatch("rows have inconsistent lengths")
+
+
+def _as_float_rows(rows):
+    """Float array of the rows, converted in one call; numpy converts each
+    scalar as float() does (OverflowError for an int beyond the float range)."""
+    _check_rect(rows)
+    a = np.asarray(rows, dtype=float)
+    if a.ndim != 2:
+        raise DimensionMismatch("expected a rectangular table of rows")
+    return a
 
 
 # ----------------------------------------------------------------------
@@ -148,12 +153,18 @@ def _integer_echelon(rows):
     """Fraction-free row echelon form of rational ``rows``: (echelon, pivot_cols).
 
     Each row is first scaled by the lcm of its denominators, which changes
-    neither rank nor null space.  Bareiss elimination then keeps every
-    entry an integer: after a pivot step each entry below the pivot row is
-    a minor of the cleared matrix, so the division by the previous pivot is
-    exact (Bareiss, Math. Comp. 22, 1968).
+    neither rank nor null space.
     """
-    m = [_cleared(r)[0] for r in rows]
+    return _echelon([_cleared(r)[0] for r in rows])
+
+
+def _echelon(m):
+    """(echelon, pivot_cols) of integer rows ``m``, which it overwrites.
+
+    Bareiss elimination keeps every entry an integer: after a pivot step
+    each entry below the pivot row is a minor of ``m``, so the division by
+    the previous pivot is exact (Bareiss, Math. Comp. 22, 1968).
+    """
     if not m:
         return m, []
     ncols = len(m[0])
@@ -217,9 +228,11 @@ def _exact_solve(a_rows, rhs):
     return tuple(Fraction(v, -x[ncols]) for v in x[:ncols])
 
 
-def _homogeneous_echelon(points):
-    """Echelon of the rows (p, 1): its rank is the affine span dimension + 1."""
-    return _integer_echelon([list(p) + [1] for p in points])
+def _homogeneous_echelon(cleared):
+    """Echelon of the rows (p, 1), given each point p as its _cleared pair
+    (ints, den): the row (ints, den) is (p, 1) scaled by den.  Its rank is
+    the affine span dimension + 1."""
+    return _echelon([ints + [den] for ints, den in cleared])
 
 
 # ----------------------------------------------------------------------
@@ -275,7 +288,7 @@ def affine_span_dim(points, tol: Tolerance = DEFAULT_TOLERANCE) -> int:
 def _affine_span_dim(pts, tol: Tolerance, exact) -> int:
     """affine_span_dim of nonempty rectangular rows on the given backend."""
     if exact:
-        return len(_homogeneous_echelon(pts)[1]) - 1
+        return len(_homogeneous_echelon([_cleared(p) for p in pts])[1]) - 1
     a = _as_float_rows(pts)
     if a.shape[0] == 1:
         return 0
@@ -291,9 +304,10 @@ def affinely_independent(points, tol: Tolerance = DEFAULT_TOLERANCE) -> bool:
     return _affinely_independent(pts, tol, is_exact(pts))
 
 
-def _affinely_independent(pts, tol: Tolerance, exact) -> bool:
+def _affinely_independent(pts, tol: Tolerance, exact, cleared=None) -> bool:
     """affinely_independent on a backend the caller already chose, so that
-    a set classified once is not classified again."""
+    a set classified once is not classified again.  An exact caller that
+    holds the points' _cleared pairs passes them as ``cleared``."""
     if not pts:
         raise InvalidInput("need at least one point")
     _check_rect(pts)
@@ -302,6 +316,8 @@ def _affinely_independent(pts, tol: Tolerance, exact) -> bool:
         raise DimensionMismatch(
             f"need exactly {n + 1} points in dimension {n}, got {len(pts)}"
         )
+    if cleared is not None:
+        return len(_homogeneous_echelon(cleared)[1]) - 1 == n
     return _affine_span_dim(pts, tol, exact) == n
 
 
@@ -318,7 +334,11 @@ def _normalize_float(normal, offset):
 
 
 def _normalize_exact(normal, offset):
-    ints, _ = _cleared([*normal, offset])
+    return _primitive(_cleared([*normal, offset])[0])
+
+
+def _primitive(ints):
+    """_normalize_exact of the integer vector ``ints`` = (normal, offset)."""
     lead = next((v for v in ints[:-1] if v), 0)
     if not lead:
         raise InvalidInput("hyperplane normal must be nonzero")
@@ -378,33 +398,33 @@ def _bbox_diameter(a: np.ndarray) -> float:
     return diam
 
 
-def _fit_exact(pts):
-    """(plane, 0, span), or NonCoplanar.
+def _fit_exact(cleared):
+    """(plane, 0, span) of points given as _cleared pairs, or NonCoplanar.
 
     When the rows (p, 1) of the first n points have rank n, their null
     vector is the only candidate plane, and each later point is one integer
     dot product against it.  Otherwise one elimination of every row decides.
     """
-    n = len(pts[0])
-    echelon, pivots = _homogeneous_echelon(pts[:n])
-    rest = pts[n:]
+    n = len(cleared[0][0])
+    echelon, pivots = _homogeneous_echelon(cleared[:n])
+    rest = cleared[n:]
     if len(pivots) < n:
-        echelon, pivots = _homogeneous_echelon(pts)
+        echelon, pivots = _homogeneous_echelon(cleared)
         rest = ()
     span = len(pivots) - 1
     if span == n:
         raise NonCoplanar("points do not lie in a common hyperplane")
     if span == 0 < n - 1:
-        # one point p: the plane x_1 = p_1
-        return Hyperplane(*_normalize_exact([1] + [0] * (n - 1), pts[0][0])), Fraction(0), 0
+        # one point p = ints / den: the plane x_1 = p_1, that is den x_1 = ints_1
+        ints, den = cleared[0]
+        return Hyperplane(*_primitive([den] + [0] * (n - 1) + [ints[0]])), Fraction(0), 0
     # (p, 1) @ (normal, -offset) = 0 for every point p
     free = next(c for c in range(n + 1) if c not in pivots)
     u = _null_vector(echelon, pivots, free)
-    for p in rest:
-        ints, den = _cleared(p)
+    for ints, den in rest:
         if sum(a * x for a, x in zip(u, ints)) + u[n] * den:
             raise NonCoplanar("points do not lie in a common hyperplane")
-    return Hyperplane(*_normalize_exact(u[:n], -u[n])), Fraction(0), span
+    return Hyperplane(*_primitive(u[:n] + [-u[n]])), Fraction(0), span
 
 
 def _fit_float(a: np.ndarray, tol: Tolerance):
@@ -430,10 +450,12 @@ def _fit_float(a: np.ndarray, tol: Tolerance):
     return plane, maxdev / _bbox_diameter(a), span
 
 
-def _fit(pts, tol: Tolerance, exact):
-    """(plane, residual, span) of rectangular ``pts``; a low span does not raise."""
+def _fit(pts, tol: Tolerance, exact, cleared=None):
+    """(plane, residual, span) of rectangular ``pts``; a low span does not raise.
+    An exact caller that holds the points' _cleared pairs passes them as
+    ``cleared``."""
     if exact:
-        return _fit_exact(pts)
+        return _fit_exact(cleared if cleared is not None else [_cleared(p) for p in pts])
     return _fit_float(_as_float_rows(pts), tol)
 
 
@@ -457,7 +479,14 @@ def fit_hyperplane(points, tol: Tolerance = DEFAULT_TOLERANCE):
         raise InvalidInput("points must have dimension >= 1")
     if len(pts) < n:
         raise DimensionMismatch(f"need at least {n} points in dimension {n}")
-    plane, residual, span = _fit(pts, tol, is_exact(pts))
+    return _fit_hyperplane(pts, tol, is_exact(pts))
+
+
+def _fit_hyperplane(pts, tol: Tolerance, exact, cleared=None):
+    """fit_hyperplane of at least n rectangular points of dimension n >= 1,
+    on the backend the caller chose (``cleared`` as for _fit)."""
+    n = len(pts[0])
+    plane, residual, span = _fit(pts, tol, exact, cleared)
     if span < n - 1:
         raise DegenerateConfiguration(
             f"points span affine dimension {span} < {n - 1}", span_dim=span

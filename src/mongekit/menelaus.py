@@ -8,20 +8,24 @@ at b_ij taking a_j to a_i.  The sign matters: unsigned length ratios also
 give product 1 for edge midpoints, which are never coplanar with each
 other in this sense, so an unsigned reading has no equivalence.
 
-The backend is chosen once per edge-point set.  On the float backend the
-ratios of all n(n+1)/2 pairs are computed in one batch, a fixed number of
-numpy operations on stacked (pairs, dimension) arrays; signed_ratio is the
-same batch with one row.  On the exact backend each ratio comes from
-cleared integer vectors, each vertex and edge point cleared once per set;
-each triple residual is a quotient of integer cross-products of the ratios'
-numerators and denominators, and the fit eliminates the rows of n edge
-points and checks the others by integer dot products.
+The backend is chosen once per edge-point set, and the set carries it
+(parse_scenario sets it; a set built by hand classifies itself on first
+use).  On the float backend the ratios of all n(n+1)/2 pairs are computed
+in one batch, a fixed number of numpy operations on stacked (pairs,
+dimension) arrays; signed_ratio is the same batch with one row, and the
+triple residuals are one array expression.  On the exact backend each
+vertex and edge point is cleared once per set, and the independence test,
+the ratios and the fit share the cleared rows; each triple residual is a
+quotient of integer cross-products of the ratios' numerators and
+denominators, and the fit eliminates the rows of n edge points and checks
+the others by integer dot products.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property, lru_cache
 from itertools import combinations
 
 import numpy as np
@@ -43,10 +47,10 @@ from .kernel import (
     _affinely_independent,
     _cleared,
     _exact_solve,
+    _fit_hyperplane,
     _normalize_exact,
     _normalize_float,
     affinely_independent,
-    fit_hyperplane,
     is_exact,
 )
 
@@ -98,14 +102,17 @@ class EdgePointSet:
     def dimension(self):
         return len(self.vertices[0])
 
-    def validate(self, tol: Tolerance = DEFAULT_TOLERANCE):
-        """Check the structure and return the signed ratio of every pair.
+    @cached_property
+    def _exact(self):
+        """True when every vertex and edge point coordinate is an int or
+        Fraction: the set's one backend choice, made on first use
+        (parse_scenario sets it; a Fraction among floats fails here)."""
+        return is_exact([list(p) for p in
+                         (*self.vertices, *(self.edge_points[k] for k in sorted(self.edge_points)))])
 
-        The backend is chosen once for the whole set: exact when every
-        vertex and edge point coordinate is an int or Fraction.
-        """
-        exact = is_exact([list(p) for p in (*self.vertices, *self.edge_points.values())])
-        return _edge_ratios(self, tol, exact)
+    def validate(self, tol: Tolerance = DEFAULT_TOLERANCE):
+        """Check the structure and return the signed ratio of every pair."""
+        return _edge_ratios(self, tol, self._exact)[0]
 
 
 @dataclass(frozen=True)
@@ -217,13 +224,20 @@ def signed_ratio(a_i, a_j, b, tol: Tolerance = DEFAULT_TOLERANCE, pair=None):
 
 
 def _edge_ratios(eps: EdgePointSet, tol: Tolerance, exact):
-    """EdgePointSet.validate on the backend the caller chose for the set."""
+    """(ratios, rows): EdgePointSet.validate's ratios by pair, on the backend
+    the caller chose for the set.
+
+    On the exact backend each vertex and each edge point is cleared once
+    for the whole set, and ``rows`` holds the edge points' _cleared pairs in
+    pair order, for the fit; on the float backend ``rows`` is None.
+    """
     n = eps.dimension
     if len(eps.vertices) != n + 1:
         raise DimensionMismatch(
             f"need {n + 1} vertices in dimension {n}, got {len(eps.vertices)}"
         )
-    if not _affinely_independent(list(eps.vertices), tol, exact):
+    cleared = [_cleared(v) for v in eps.vertices] if exact else None
+    if not _affinely_independent(list(eps.vertices), tol, exact, cleared):
         raise DegenerateConfiguration("simplex vertices are affinely dependent")
     pairs = all_pairs(n + 1)
     got = set(eps.edge_points)
@@ -235,19 +249,30 @@ def _edge_ratios(eps: EdgePointSet, tol: Tolerance, exact):
     # the pairs before the first edge point of the wrong length are checked first
     good = next((k for k, b in enumerate(points) if len(b) != n), len(pairs))
     if exact:
-        # each vertex and each edge point is cleared once for the whole set
-        cleared = [_cleared(v) for v in eps.vertices]
+        rows = [_cleared(b) for b in points]
         ratios = [
-            _cleared_ratio(cleared[i - 1], cleared[j - 1], _cleared(b), pair=(i, j))
-            for (i, j), b in zip(pairs[:good], points)
+            _cleared_ratio(cleared[i - 1], cleared[j - 1], b, pair=(i, j))
+            for (i, j), b in zip(pairs[:good], rows)
         ]
     else:
+        rows = None
         a_i, a_j = _pair_rows(eps.vertices, pairs[:good])
         b = np.asarray(points[:good], dtype=float).reshape(good, n)
         ratios = _float_ratios(a_i, a_j, b, tol, pairs[:good]).tolist()
     if good < len(pairs):
         raise DimensionMismatch("points must share one dimension", pair=pairs[good])
-    return dict(zip(pairs, ratios))
+    return dict(zip(pairs, ratios)), rows
+
+
+@lru_cache(maxsize=16)
+def _triple_index(count):
+    """The triples i < j < k of 1..count, and for each the positions of its
+    pairs (i, j), (i, k) and (j, k) in all_pairs(count), as three arrays."""
+    position = {pair: q for q, pair in enumerate(all_pairs(count))}
+    triples = list(combinations(range(1, count + 1), 3))
+    index = np.array([(position[i, j], position[i, k], position[j, k]) for (i, j, k) in triples],
+                     dtype=np.intp).reshape(-1, 3)
+    return triples, index[:, 0], index[:, 1], index[:, 2]
 
 
 def _menelaus_report(lambdas, points, fit, tol: Tolerance, exact=False) -> MenelausReport:
@@ -256,14 +281,16 @@ def _menelaus_report(lambdas, points, fit, tol: Tolerance, exact=False) -> Menel
     The verdict is true only when every triple residual and the fit
     residual pass the tolerance (exact backend: both exactly 0).  Float
     triple products are evaluated as (lambda_ik / lambda_ij) / lambda_jk so
-    that like magnitudes cancel before anything can overflow.  Exact ones
+    that like magnitudes cancel before anything can overflow, all triples
+    in one array expression; one that still overflows reads inf.  Exact ones
     are cross-multiplied: with lambda = p/q that product is N/D for
     N = p_ik q_ij q_jk and D = q_ik p_ij p_jk, so the residual is
-    |N - D| / |D| from integer products alone.  ``fit`` returns
-    (hyperplane, residual) for the points.
+    |N - D| / |D| from integer products alone.  ``lambdas`` holds the
+    ratios in all_pairs order; ``fit`` returns (hyperplane, residual) for
+    the points.
     """
-    count = max(j for _, j in lambdas)
-    triples = combinations(range(1, count + 1), 3)
+    triples, ij, ik, jk = _triple_index(max(j for _, j in lambdas))
+    thr = 0 if exact else tol.scaled(1.0)
     if exact:
         pq = {pair: (lam.numerator, lam.denominator) for pair, lam in lambdas.items()}
         triple_residuals = {}
@@ -271,13 +298,13 @@ def _menelaus_report(lambdas, points, fit, tol: Tolerance, exact=False) -> Menel
             (p_ij, q_ij), (p_ik, q_ik), (p_jk, q_jk) = pq[(i, j)], pq[(i, k)], pq[(j, k)]
             den = q_ik * p_ij * p_jk
             triple_residuals[(i, j, k)] = Fraction(abs(p_ik * q_ij * q_jk - den), abs(den))
+        products_ok = all(r <= thr for r in triple_residuals.values())
     else:
-        triple_residuals = {
-            (i, j, k): abs((lambdas[(i, k)] / lambdas[(i, j)]) / lambdas[(j, k)] - 1)
-            for (i, j, k) in triples
-        }
-    thr = 0 if exact else tol.scaled(1.0)
-    products_ok = all(r <= thr for r in triple_residuals.values())
+        lam = np.fromiter(lambdas.values(), dtype=float, count=len(lambdas))
+        with np.errstate(over="ignore"):
+            residuals = np.abs((lam[ik] / lam[ij]) / lam[jk] - 1)
+        triple_residuals = dict(zip(triples, residuals.tolist()))
+        products_ok = bool((residuals <= thr).all())
     try:
         plane, plane_res = fit(points, tol)
         plane_ok = plane_res <= thr
@@ -297,11 +324,14 @@ def _menelaus_report(lambdas, points, fit, tol: Tolerance, exact=False) -> Menel
 
 def menelaus_products(eps: EdgePointSet, tol: Tolerance = DEFAULT_TOLERANCE) -> MenelausReport:
     """Evaluate the signed triple products and the hyperplane fit in E^n."""
-    points = [eps.edge_points[p] for p in sorted(eps.edge_points)]
-    # the one backend choice for the set: a Fraction among floats fails here
-    exact = is_exact([list(p) for p in (*eps.vertices, *points)])
-    lambdas = _edge_ratios(eps, tol, exact)
-    return _menelaus_report(lambdas, points, fit_hyperplane, tol, exact)
+    exact = eps._exact
+    lambdas, rows = _edge_ratios(eps, tol, exact)
+    points = [eps.edge_points[p] for p in lambdas]
+
+    def fit(points, tol):
+        return _fit_hyperplane(points, tol, exact, rows)
+
+    return _menelaus_report(lambdas, points, fit, tol, exact)
 
 
 def _check_weights(vertices, weights):

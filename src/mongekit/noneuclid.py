@@ -15,6 +15,11 @@ batch with one row.  Hyperplane sections are zero sets
 spacelike.  Triple products, thresholds and the report are shared with
 the Euclidean verifier in menelaus.
 
+Points are normalised onto the surface one set at a time: one batch
+checks and rescales every row of a set, and sphere_point and
+hyperboloid_point are that batch with one row.  XnConfig.validate stacks
+the set's coordinates once, for the independence test and the ratios.
+
 Everything here runs on the float backend only.  Geodesic distances
 (geodesic_distance, arc_contains, xn_homothety_image) serve the generators,
 not the verifier.
@@ -95,26 +100,45 @@ class XnPoint:
         return np.asarray(self.coords, dtype=float)
 
 
+def _surface_points(geometry, rows):
+    """XnPoints of S^n or H^n from coordinate rows, every row in one batch.
+
+    A row must lie within SURFACE_SLACK of the model surface (unit norm on
+    S^n; Lorentz norm -1 and x_0 > 0 on H^n), and is rescaled onto it.  The
+    first row that fails raises, with the first check it fails.  Norms and
+    Lorentz forms are per-row matrix products, which round exactly as each
+    row's own dot product does.
+    """
+    v = np.array(rows, dtype=float)
+    if geometry == SPHERICAL:
+        scale = np.sqrt(v[:, None, :] @ v[:, :, None])[:, 0, 0]
+        good = np.abs(scale - 1.0) <= SURFACE_SLACK
+        if np.count_nonzero(good) < len(good):
+            nrm = float(scale[good.argmin()])
+            raise InvalidInput(f"norm {nrm:.9f} is too far from 1 for a sphere point")
+    else:
+        # q = -<v, v>_L, nan when the squares overflow; a row that passes has
+        # q near 1, so x_0 / sqrt(q) has the sign of x_0
+        q = v[:, 0] * v[:, 0] - (v[:, None, 1:] @ v[:, 1:, None])[:, 0, 0]
+        good = (np.abs(q - 1.0) <= 2 * SURFACE_SLACK) & (v[:, 0] > 0)
+        if np.count_nonzero(good) < len(good):
+            qk = float(q[good.argmin()])
+            if qk <= 0:
+                raise NotTimelike("coordinates are not timelike")
+            if not abs(qk - 1.0) <= 2 * SURFACE_SLACK:
+                raise InvalidInput(
+                    f"Lorentz norm {-qk:.9f} is too far from -1 for a hyperboloid point")
+            raise InvalidInput("hyperboloid points must have positive first coordinate")
+        scale = np.sqrt(q)
+    return [XnPoint(geometry, tuple(c)) for c in (v / scale[:, None]).tolist()]
+
+
 def sphere_point(coords) -> XnPoint:
-    v = np.asarray([float(x) for x in coords])
-    nrm = float(np.linalg.norm(v))
-    if abs(nrm - 1.0) > SURFACE_SLACK:
-        raise InvalidInput(f"norm {nrm:.9f} is too far from 1 for a sphere point")
-    return XnPoint(geometry=SPHERICAL, coords=tuple(float(x) for x in v / nrm))
+    return _surface_points(SPHERICAL, [coords])[0]
 
 
 def hyperboloid_point(coords) -> XnPoint:
-    v = np.asarray([float(x) for x in coords])
-    q = -_lorentz_dot(v, v)
-    if q <= 0:
-        raise NotTimelike("coordinates are not timelike")
-    # q is nan when the squares overflow
-    if not abs(q - 1.0) <= 2 * SURFACE_SLACK:
-        raise InvalidInput(f"Lorentz norm {-q:.9f} is too far from -1 for a hyperboloid point")
-    v = v / math.sqrt(q)
-    if v[0] <= 0:
-        raise InvalidInput("hyperboloid points must have positive first coordinate")
-    return XnPoint(geometry=HYPERBOLIC, coords=tuple(float(x) for x in v))
+    return _surface_points(HYPERBOLIC, [coords])[0]
 
 
 def _make_point(geometry, vector) -> XnPoint:
@@ -310,8 +334,7 @@ def xn_independent(points, tol: Tolerance = DEFAULT_TOLERANCE) -> bool:
     if not points:
         raise InvalidInput("need at least one point")
     _same_space(*points)
-    m = np.stack([p.as_array() for p in points])
-    return _float_rank(m, tol) == len(points)
+    return _float_rank(np.asarray([p.coords for p in points], dtype=float), tol) == len(points)
 
 
 @dataclass(frozen=True)
@@ -339,9 +362,8 @@ def xn_hyperplane_fit(points, tol: Tolerance = DEFAULT_TOLERANCE):
         raise InvalidInput("need at least one point")
     g = _same_space(*points)
     n = points[0].dimension
-    rows = np.stack([p.as_array() for p in points])
+    rows = np.asarray([p.coords for p in points], dtype=float)
     if g == HYPERBOLIC:
-        rows = rows.copy()
         rows[:, 0] = -rows[:, 0]
     rk, w = _null_direction(rows, tol)
     if rk < n:
@@ -370,7 +392,7 @@ class XnConfig:
 
     def validate(self, tol: Tolerance = DEFAULT_TOLERANCE):
         """Check the structure and return the ratio xn_lambda of every pair,
-        all pairs in one batch."""
+        all pairs in one batch on one array of the set's coordinates."""
         pts = list(self.vertices) + [self.edge_points[k] for k in sorted(self.edge_points)]
         _same_space(*pts)
         n = self.dimension
@@ -378,14 +400,16 @@ class XnConfig:
             raise DimensionMismatch(
                 f"need {n + 1} vertices on a {n}-dimensional space, got {len(self.vertices)}"
             )
-        if set(self.edge_points) != set(all_pairs(n + 1)):
-            raise InvalidInput("edge point pairs do not cover all vertex pairs exactly once")
-        if not xn_independent(self.vertices, tol):
-            raise DegenerateConfiguration("vertex vectors are linearly dependent")
         pairs = all_pairs(n + 1)
-        a_i, a_j = _pair_rows([p.coords for p in self.vertices], pairs)
-        b = np.asarray([self.edge_points[p].coords for p in pairs], dtype=float)
-        ratios = _xn_ratios(self.geometry, a_i, a_j, b, tol, pairs)
+        if set(self.edge_points) != set(pairs):
+            raise InvalidInput("edge point pairs do not cover all vertex pairs exactly once")
+        # vertices, then the edge points in pair order
+        rows = np.asarray([p.coords for p in pts], dtype=float)
+        vertices = rows[:n + 1]
+        if _float_rank(vertices, tol) != n + 1:
+            raise DegenerateConfiguration("vertex vectors are linearly dependent")
+        a_i, a_j = _pair_rows(vertices, pairs)
+        ratios = _xn_ratios(self.geometry, a_i, a_j, rows[n + 1:], tol, pairs)
         return dict(zip(pairs, ratios.tolist()))
 
 
@@ -397,7 +421,7 @@ def verify_prop2(config: XnConfig, tol: Tolerance = DEFAULT_TOLERANCE) -> Menela
     section carries all edge points within tolerance.
     """
     lambdas = config.validate(tol)
-    points = [config.edge_points[p] for p in sorted(config.edge_points)]
+    points = [config.edge_points[p] for p in lambdas]
     return _menelaus_report(lambdas, points, xn_hyperplane_fit, tol)
 
 

@@ -17,8 +17,17 @@ Coordinates have length n (Euclidean) or n+1 (sphere / hyperboloid).
 
 Numbers are JSON numbers, or strings "p/q" for exact rationals.  In
 exact mode only integers and "p/q" strings are accepted; in float mode
-everything is coerced to float.  Reports echo the scenario they scored,
-so a report can be re-verified byte-for-byte.
+everything is coerced to float, and an array of finite floats is taken
+whole.  The backend chosen here is carried by the scenario: an
+EdgePointSet is handed its backend, so nothing downstream classifies its
+coordinates again, and S^n / H^n points are normalised in one batch per
+set.  A report is encoded for the same backend: float() for each float
+value, encode_number ('p/q' strings) for exact ones.
+
+Reports echo the scenario they scored.  Re-verifying the echo gives the
+same verdict; E^n reports come back byte-for-byte, but S^n and H^n ones
+need not, since normalising the echoed points again can move the last
+bits of their ratios and residuals.
 
 Reports and scenario corpora are written as one line of compact JSON,
 ``json.dumps(obj)`` plus a newline (json_text), the form error objects
@@ -44,14 +53,7 @@ from .errors import GeometryError, ScenarioError
 from .kernel import DEFAULT_TOLERANCE, Hyperplane, Tolerance
 from .menelaus import EdgePointSet, all_pairs, menelaus_products
 from .monge import MongeConfig, run_monge
-from .noneuclid import (
-    HYPERBOLIC,
-    SPHERICAL,
-    XnConfig,
-    hyperboloid_point,
-    sphere_point,
-    verify_prop2,
-)
+from .noneuclid import HYPERBOLIC, SPHERICAL, XnConfig, _surface_points, verify_prop2
 from .shapes import Ball, Halfspace, HalfspaceSet, VertexSet
 
 EUCLIDEAN = "euclidean"
@@ -145,9 +147,17 @@ def _exact_scalar(x):
     return None
 
 
-def _point(value, length, exact, where):
+def _point(value, length, exact, where, index=None, suffix=""):
     """One pass over the array for the common scalar forms; the rest, and
-    every error with its JSON path, go through _number."""
+    every error with its JSON path, go through _number.  The path is
+    ``where``, or ``where[index]suffix`` when an index is given, built only
+    for an error.  An array of finite floats is taken whole on the float
+    backend."""
+    if (not exact and isinstance(value, list) and len(value) == length
+            and set(map(type, value)) == {float} and all(map(math.isfinite, value))):
+        return tuple(value)
+    if index is not None:
+        where = f"{where}[{index}]{suffix}"
     if not isinstance(value, list) or len(value) != length:
         _fail(f"expected a coordinate array of length {length}", where)
     scalar = _exact_scalar if exact else _float_scalar
@@ -176,6 +186,11 @@ def _encode_point(p):
     return [encode_number(x) for x in p]
 
 
+def _float_point(p):
+    """_encode_point of a point of floats."""
+    return list(map(float, p))
+
+
 def _parse_shape(obj, n, exact, where, first=False):
     if not isinstance(obj, dict) or "type" not in obj:
         _fail("shape entries need a 'type' field", where)
@@ -190,7 +205,7 @@ def _parse_shape(obj, n, exact, where, first=False):
             if not isinstance(pts, list) or not pts:
                 _fail("vertex shapes need a non-empty 'points' array", f"{where}.points")
             return VertexSet(vertices=tuple(
-                _point(p, n, exact, f"{where}.points[{k}]") for k, p in enumerate(pts)
+                _point(p, n, exact, f"{where}.points", k) for k, p in enumerate(pts)
             ))
         if kind == "halfspaces":
             cons = obj.get("constraints")
@@ -202,7 +217,7 @@ def _parse_shape(obj, n, exact, where, first=False):
                 if not isinstance(c, dict):
                     _fail("constraints are objects with 'normal' and 'offset'",
                           f"{where}.constraints[{k}]")
-                normal = _point(c.get("normal"), n, exact, f"{where}.constraints[{k}].normal")
+                normal = _point(c.get("normal"), n, exact, f"{where}.constraints", k, ".normal")
                 offset = _number(c.get("offset"), exact, f"{where}.constraints[{k}].offset")
                 parsed.append((normal, offset))
             shape = HalfspaceSet(constraints=tuple(parsed))
@@ -226,20 +241,19 @@ def _parse_edge_points(obj, n_vertices, length, exact, where):
     expected = set(all_pairs(n_vertices))
     points = {}
     for k, e in enumerate(entries):
-        here = f"{where}[{k}]"
         if not isinstance(e, dict):
-            _fail("edge point entries are objects with 'pair' and 'point'", here)
+            _fail("edge point entries are objects with 'pair' and 'point'", f"{where}[{k}]")
         pair = e.get("pair")
         if (not isinstance(pair, list) or len(pair) != 2
                 or not all(isinstance(i, int) and not isinstance(i, bool) for i in pair)):
-            _fail("'pair' must be two 1-based integer indices", f"{here}.pair")
+            _fail("'pair' must be two 1-based integer indices", f"{where}[{k}].pair")
         pair = (pair[0], pair[1])
         if pair not in expected:
             _fail(f"pair {list(pair)} is not an (i, j) with 1 <= i < j <= {n_vertices}",
-                  f"{here}.pair")
+                  f"{where}[{k}].pair")
         if pair in points:
-            _fail(f"duplicate pair {list(pair)}", f"{here}.pair")
-        points[pair] = _point(e.get("point"), length, exact, f"{here}.point")
+            _fail(f"duplicate pair {list(pair)}", f"{where}[{k}].pair")
+        points[pair] = _point(e.get("point"), length, exact, where, k, ".point")
     if set(points) != expected:
         _fail(f"need exactly one edge point for each of the {len(expected)} pairs",
               where)
@@ -282,34 +296,34 @@ def parse_scenario(obj, exact=False) -> Scenario:
         _fail(f"kind 'edge_points' needs exactly {n + 1} vertices", "$.vertices")
     length = n if geometry == EUCLIDEAN else n + 1
     parsed_vertices = tuple(
-        _point(v, length, exact, f"$.vertices[{k}]") for k, v in enumerate(vertices)
+        _point(v, length, exact, "$.vertices", k) for k, v in enumerate(vertices)
     )
     points = _parse_edge_points(obj, n + 1, length, exact, "$.edge_points")
+    if geometry == EUCLIDEAN:
+        payload = EdgePointSet(vertices=parsed_vertices, edge_points=points)
+        # the set's one backend choice, made here for the whole pipeline
+        object.__setattr__(payload, "_exact", exact)
+        return Scenario(geometry, n, kind, payload, expect, exact)
     try:
-        if geometry == EUCLIDEAN:
-            payload = EdgePointSet(vertices=parsed_vertices, edge_points=points)
-        else:
-            build = sphere_point if geometry == SPHERICAL else hyperboloid_point
-            # a norm or Lorentz form beyond the float range fails the surface check
-            with np.errstate(all="ignore"):
-                payload = XnConfig(
-                    vertices=tuple(build(v) for v in parsed_vertices),
-                    edge_points={k: build(p) for k, p in points.items()},
-                )
+        # a norm or Lorentz form beyond the float range fails the surface check
+        with np.errstate(all="ignore"):
+            surface = _surface_points(geometry, [*parsed_vertices, *points.values()])
     except GeometryError as e:
         raise ScenarioError(str(e), where="$") from e
+    payload = XnConfig(vertices=tuple(surface[:n + 1]),
+                       edge_points=dict(zip(points, surface[n + 1:])))
     return Scenario(geometry, n, kind, payload, expect, exact)
 
 
-def _shape_to_object(shape):
+def _shape_to_object(shape, point, number):
     if isinstance(shape, Ball):
-        return {"type": "ball", "center": _encode_point(shape.center),
-                "radius": encode_number(shape.radius)}
+        return {"type": "ball", "center": point(shape.center),
+                "radius": number(shape.radius)}
     if isinstance(shape, VertexSet):
-        return {"type": "vertices", "points": [_encode_point(p) for p in shape.vertices]}
+        return {"type": "vertices", "points": [point(p) for p in shape.vertices]}
     if isinstance(shape, HalfspaceSet):
         return {"type": "halfspaces", "constraints": [
-            {"normal": _encode_point(c.normal), "offset": encode_number(c.offset)}
+            {"normal": point(c.normal), "offset": number(c.offset)}
             for c in shape.constraints
         ]}
     raise ScenarioError(f"cannot serialize shape of type {type(shape).__name__}")
@@ -317,28 +331,34 @@ def _shape_to_object(shape):
 
 def scenario_to_object(payload, geometry=EUCLIDEAN, dimension=None, expect=None):
     """Scenario JSON object for shapes, an EdgePointSet, or an XnConfig."""
+    return _scenario_object(payload, geometry, dimension, expect, _encode_point, encode_number)
+
+
+def _scenario_object(payload, geometry, dimension, expect, point, number):
+    """scenario_to_object with the encoders of the payload's backend:
+    ``point`` for a coordinate array, ``number`` for a scalar."""
     out = {"geometry": geometry}
     if isinstance(payload, MongeConfig):
         payload = list(payload.shapes)
     if isinstance(payload, (list, tuple)):
         out["dimension"] = dimension if dimension is not None else payload[0].dimension
         out["kind"] = "shapes"
-        out["shapes"] = [_shape_to_object(s) for s in payload]
+        out["shapes"] = [_shape_to_object(s, point, number) for s in payload]
     elif isinstance(payload, EdgePointSet):
         out["dimension"] = len(payload.vertices[0])
         out["kind"] = "edge_points"
-        out["vertices"] = [_encode_point(v) for v in payload.vertices]
+        out["vertices"] = [point(v) for v in payload.vertices]
         out["edge_points"] = [
-            {"pair": list(pair), "point": _encode_point(payload.edge_points[pair])}
+            {"pair": list(pair), "point": point(payload.edge_points[pair])}
             for pair in sorted(payload.edge_points)
         ]
     elif isinstance(payload, XnConfig):
         out["geometry"] = payload.geometry
         out["dimension"] = payload.dimension
         out["kind"] = "edge_points"
-        out["vertices"] = [_encode_point(v.coords) for v in payload.vertices]
+        out["vertices"] = [point(v.coords) for v in payload.vertices]
         out["edge_points"] = [
-            {"pair": list(pair), "point": _encode_point(payload.edge_points[pair].coords)}
+            {"pair": list(pair), "point": point(payload.edge_points[pair].coords)}
             for pair in sorted(payload.edge_points)
         ]
     else:
@@ -348,13 +368,12 @@ def scenario_to_object(payload, geometry=EUCLIDEAN, dimension=None, expect=None)
     return out
 
 
-def _hyperplane_to_object(plane):
+def _hyperplane_to_object(plane, point, number):
     if plane is None:
         return None
     if isinstance(plane, Hyperplane):
-        return {"normal": _encode_point(plane.normal),
-                "offset": encode_number(plane.offset)}
-    return {"normal": _encode_point(plane.normal)}
+        return {"normal": point(plane.normal), "offset": number(plane.offset)}
+    return {"normal": point(plane.normal)}
 
 
 def edge_point_verifier(geometry):
@@ -363,8 +382,14 @@ def edge_point_verifier(geometry):
 
 
 def verify_scenario(scenario: Scenario, tol: Tolerance = DEFAULT_TOLERANCE):
-    """Dispatch to the right verifier and assemble the report object."""
+    """Dispatch to the right verifier and assemble the report object.
+
+    The encoders follow the scenario's backend: exact values go through
+    encode_number, float ones through float().  Residuals, which may be
+    None or an int 0, always take encode_number.
+    """
     start = time.perf_counter()
+    point, number = (_encode_point, encode_number) if scenario.exact else (_float_point, float)
     report = {
         "geometry": scenario.geometry,
         "dimension": scenario.dimension,
@@ -376,30 +401,31 @@ def verify_scenario(scenario: Scenario, tol: Tolerance = DEFAULT_TOLERANCE):
         res = run_monge(config, tol)
         report["verdict"] = res.verdict
         report["centers"] = [
-            {"pair": list(pair), "point": _encode_point(res.centers[pair]),
-             "ratio": encode_number(res.ratios[pair])}
+            {"pair": list(pair), "point": point(res.centers[pair]),
+             "ratio": number(res.ratios[pair])}
             for pair in sorted(res.centers)
         ]
-        report["hyperplane"] = _hyperplane_to_object(res.hyperplane)
+        report["hyperplane"] = _hyperplane_to_object(res.hyperplane, point, number)
         report["hyperplane_residual"] = encode_number(res.residual)
         report["degenerate"] = res.degenerate
         report["span_dim"] = res.span_dim
-        echo = scenario_to_object(config, expect=scenario.expect)
+        payload = config
     else:
         res = edge_point_verifier(scenario.geometry)(scenario.payload, tol)
         report["verdict"] = res.verdict
         report["ratios"] = [
-            {"pair": list(pair), "value": encode_number(res.lambdas[pair])}
+            {"pair": list(pair), "value": number(res.lambdas[pair])}
             for pair in sorted(res.lambdas)
         ]
         report["triple_products"] = [
-            {"triple": list(t), "residual": encode_number(res.triple_residuals[t])}
+            {"triple": list(t), "residual": number(res.triple_residuals[t])}
             for t in sorted(res.triple_residuals)
         ]
-        report["hyperplane"] = _hyperplane_to_object(res.hyperplane)
+        report["hyperplane"] = _hyperplane_to_object(res.hyperplane, point, number)
         report["hyperplane_residual"] = encode_number(res.hyperplane_residual)
-        echo = scenario_to_object(scenario.payload, expect=scenario.expect)
-    report["scenario"] = echo
+        payload = scenario.payload
+    report["scenario"] = _scenario_object(payload, EUCLIDEAN, None, scenario.expect,
+                                          point, number)
     report["elapsed_seconds"] = time.perf_counter() - start
     return report
 

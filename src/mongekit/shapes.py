@@ -513,16 +513,19 @@ def _halfspaceset_map(src: HalfspaceSet, dst: HalfspaceSet, tol: Tolerance,
     u, sing, vt = np.linalg.svd(rows, full_matrices=False)
     if _rank_from(sing, tol) < n + 1:
         raise NonUniqueHomothety("constraints do not pin down a unique homothety")
-    sol = vt.T @ ((u.T @ rhs) / sing)
-    # one refinement step against the exact residual, with the same SVD:
-    # the float solve is only accurate to cond * eps, and composed pairs
-    # (run_monge) must agree with a direct detection to rounding
-    residual = _exact_residual(rows, sol, rhs)
-    if residual is not None:
-        sol = sol + vt.T @ ((u.T @ residual) / sing)
-    scale = max(1.0, float(np.abs(rhs).max()))
-    if float(np.max(np.abs(rows @ sol - rhs))) > tol.scaled(scale):
-        raise NotHomothetic("no homothety maps the constraints onto each other")
+    # a solution beyond the float range computes inf or nan without a
+    # warning; _homothety rejects such a ratio or center with InvalidInput
+    with np.errstate(all="ignore"):
+        sol = vt.T @ ((u.T @ rhs) / sing)
+        # one refinement step against the exact residual, with the same SVD:
+        # the float solve is only accurate to cond * eps, and composed pairs
+        # (run_monge) must agree with a direct detection to rounding
+        residual = _exact_residual(rows, sol, rhs)
+        if residual is not None:
+            sol = sol + vt.T @ ((u.T @ residual) / sing)
+        scale = max(1.0, float(np.abs(rhs).max()))
+        if float(np.max(np.abs(rows @ sol - rhs))) > tol.scaled(scale):
+            raise NotHomothetic("no homothety maps the constraints onto each other")
     lam = float(sol[0])
     if abs(lam - 1.0) <= tol.scaled(1.0):
         raise RatioNotGreaterThanOne("shapes are translates")

@@ -606,6 +606,12 @@ OVERFLOW_REPROS = {
         "type": "ball", "center": [sys.float_info.max, 6], "radius": 1e200}),
         [], {"code": "InvalidInput",
              "message": "points overflow the float range of the hyperplane fit"}),
+    # the homothety solve of a half-space pair overflows
+    "offset-solve-1.8e308": (_family(_halfspaces(([1, 0], 0), ([0, 1], 0), ([-1, -1], -3)),
+                                     _halfspaces(([1, 0], 0), ([0, 1], -sys.float_info.max),
+                                                 ([-1, -1], -2)),
+                                     _halfspaces(([1, 0], 0), ([0, 1], 0), ([-1, -1], -1))),
+                             [], {"code": "InvalidInput", "pair": [1, 3]}),
     # the signed ratio is inf / inf
     "edge-point-2e160": ({**EDGE_POINTS, "edge_points": [
         {"pair": [1, 2], "point": [2e160, 0]}, {"pair": [1, 3], "point": [0, "-4/3"]},
@@ -689,6 +695,7 @@ def _repro(name):
 @example(case=_repro("vertices-1e200"))
 @example(case=_repro("exact-offset-10**400"))
 @example(case=_repro("ball-center-1.8e308"))
+@example(case=_repro("offset-solve-1.8e308"))
 @example(case=_repro("edge-point-2e160"))
 @example(case=_repro("hyperbolic-1e300"))
 def test_verify_exit_code_on_extreme_finite_input(scenario_file, case):

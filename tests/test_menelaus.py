@@ -23,7 +23,7 @@ from mongekit.errors import (
     NotSpacelike,
 )
 from mongekit.generators import GenSpec, gen_menelaus_case, gen_rational_case
-from mongekit.kernel import DEFAULT_TOLERANCE, Tolerance, fit_hyperplane, is_exact
+from mongekit.kernel import DEFAULT_TOLERANCE, Tolerance, _cleared, is_exact
 from mongekit.menelaus import (
     EdgePointSet,
     Homothety,
@@ -171,15 +171,35 @@ def test_one_backend_check_before_the_fit(monkeypatch):
         counted.append(1)
         return is_exact(values)
 
-    def fit(points, tol):
-        checked_before_fit.append(len(counted))
-        return fit_hyperplane(points, tol)
+    def fit(points, tol, exact, cleared=None):
+        checked_before_fit.append((len(counted), exact))
+        return kernel._fit_hyperplane(points, tol, exact, cleared)
 
     monkeypatch.setattr(kernel, "is_exact", counting)
     monkeypatch.setattr(menelaus, "is_exact", counting)
-    monkeypatch.setattr(menelaus, "fit_hyperplane", fit)
+    monkeypatch.setattr(menelaus, "_fit_hyperplane", fit)
     assert menelaus_products(eps).verdict
-    assert checked_before_fit == [1]
+    # the hand-built set classifies itself once; the fit is handed the backend
+    assert checked_before_fit == [(1, True)] and counted == [1]
+
+
+def test_each_exact_row_cleared_once(monkeypatch):
+    """A rational E^6 set clears its 7 vertices and 21 edge points once each:
+    the independence test, the ratios and the fit share the cleared rows."""
+    cleared = []
+
+    def counting(row):
+        cleared.append(tuple(row))
+        return _cleared(row)
+
+    monkeypatch.setattr(kernel, "_cleared", counting)
+    monkeypatch.setattr(menelaus, "_cleared", counting)
+    eps = gen_rational_case(GenSpec(dimension=6, seed=1, kind="edge_points"))
+    eps._exact  # classified before counting starts
+    cleared.clear()
+    assert menelaus_products(eps).verdict
+    assert len(cleared) == 7 + 21
+    assert sorted(cleared) == sorted([*eps.vertices, *eps.edge_points.values()])
 
 
 def test_backend_mix_raised_at_boundary(monkeypatch):
@@ -480,3 +500,22 @@ def test_similarity_invariance(n, seed, log_scale, shift, positive):
     unit = kernel._bbox_diameter(np.asarray(list(eps.edge_points.values())))
     assert deviation(moved, after) / s == pytest.approx(
         deviation(eps, before), rel=1e-6, abs=1e-12 * cond * unit)
+
+
+def test_overflowing_triple_product_reads_inf():
+    """lambda_12 is subnormal, so lambda_13 / lambda_12 overflows: the
+    residual reads inf, as Python float division gives, and no warning."""
+    big, tiny = 2.0 ** 500, 2.0 ** -530
+    a3 = (-3 * big, big)
+    # every edge point sits on its line with a rejection that rounds to exactly 0
+    eps = EdgePointSet(
+        vertices=((0.0, 0.0), (big, 0.0), a3),
+        edge_points={(1, 2): (tiny, 0.0), (1, 3): (-20 * a3[0], -20 * a3[1]),
+                     (2, 3): (big - 20 * (a3[0] - big), -20 * a3[1])},
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = menelaus_products(eps, Tolerance(abs=1e-320, rel=0.0))
+    assert 0 < -report.lambdas[(1, 2)] < 1e-308
+    assert report.triple_residuals == {(1, 2, 3): math.inf}
+    assert report.verdict is False

@@ -23,6 +23,8 @@ from mongekit.noneuclid import (
     HYPERBOLIC,
     SPHERICAL,
     XnConfig,
+    _lorentz_dot,
+    _surface_points,
     _two_column_lstsq,
     _xn_ratios,
     arc_contains,
@@ -501,3 +503,67 @@ def test_batch_errors_match_per_pair_calls(second, expected):
     got = error_of(lambda: _xn_ratios(SPHERICAL, u, v, x, DEFAULT_TOLERANCE, pairs))
     assert (got[0], got[2]) == (expected, (1, 3))
     assert got == error_of(lambda: [xn_lambda(*r, pair=p) for r, p in zip(rows, pairs)])
+
+
+def _surface_rows(geometry, count, seed):
+    """Coordinate rows of S^2 or H^2 points, each off the surface by up to 1e-7."""
+    rng = np.random.default_rng(seed)
+    rows = []
+    for k in range(count):
+        u = rng.normal(size=3 if geometry == SPHERICAL else 2)
+        if geometry == SPHERICAL:
+            v = u / np.linalg.norm(u)
+        else:
+            v = np.concatenate([[math.sqrt(1.0 + u @ u)], u])
+        rows.append(tuple((v * (1.0 + 1e-7 * k / count)).tolist()))
+    return rows
+
+
+@pytest.mark.parametrize("geometry", [SPHERICAL, HYPERBOLIC])
+def test_one_point_is_its_row_of_the_batch(geometry):
+    rows = _surface_rows(geometry, 60, seed=4)
+    batch = [p.coords for p in _surface_points(geometry, rows)]
+    one = sphere_point if geometry == SPHERICAL else hyperboloid_point
+    assert [one(r).coords for r in rows] == batch
+    # and bit for bit the per-point formulas: np.linalg.norm, the Lorentz form
+    for r, coords in zip(rows, batch):
+        v = np.asarray(r)
+        scale = np.linalg.norm(v) if geometry == SPHERICAL else math.sqrt(-_lorentz_dot(v, v))
+        assert tuple((v / scale).tolist()) == coords
+
+
+X0 = (math.cosh(0.7), math.sinh(0.7), 0.0)
+SURFACE_FAULTS = [
+    (SPHERICAL, (1.01, 0.0, 0.0), InvalidInput, "norm 1.010000000 is too far from 1 for a sphere point"),
+    (HYPERBOLIC, (0.5, 2.0, 0.0), NotTimelike, "coordinates are not timelike"),
+    (HYPERBOLIC, tuple(1.01 * x for x in X0), InvalidInput,
+     "Lorentz norm -1.020100000 is too far from -1 for a hyperboloid point"),
+    (HYPERBOLIC, (-X0[0], X0[1], 0.0), InvalidInput,
+     "hyperboloid points must have positive first coordinate"),
+]
+
+
+@pytest.mark.parametrize("geometry,bad,error,message", SURFACE_FAULTS)
+@pytest.mark.parametrize("where", ["first", "middle", "last"])
+def test_batch_raises_for_its_bad_point(geometry, bad, error, message, where):
+    rows = _surface_rows(geometry, 9, seed=5)
+    rows[{"first": 0, "middle": 4, "last": 8}[where]] = bad
+    with pytest.raises(error) as err:
+        _surface_points(geometry, rows)
+    assert type(err.value) is error and str(err.value) == message
+
+
+@pytest.mark.parametrize("order", ["x0 first", "timelike first"])
+def test_batch_raises_for_the_first_bad_point_in_order(order):
+    """Each row's checks run in order, and the first bad row decides: an
+    earlier x_0 < 0 beats a later non-timelike row, and the reverse."""
+    rows = _surface_rows(HYPERBOLIC, 9, seed=6)
+    negative, spacelike = (-X0[0], X0[1], 0.0), (0.5, 2.0, 0.0)
+    if order == "x0 first":
+        rows[2], rows[6] = negative, spacelike
+        error, message = InvalidInput, "hyperboloid points must have positive first coordinate"
+    else:
+        rows[2], rows[6] = spacelike, negative
+        error, message = NotTimelike, "coordinates are not timelike"
+    with pytest.raises(error, match=f"^{message}$"):
+        _surface_points(HYPERBOLIC, rows)

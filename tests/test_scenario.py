@@ -1,6 +1,7 @@
 import json
 import os
 import re
+import sys
 from fractions import Fraction
 
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mongekit.errors import ScenarioError
-from mongekit.kernel import Hyperplane
+from mongekit.kernel import Hyperplane, is_exact
 from mongekit.generators import (
     GenSpec,
     gen_ball_config,
@@ -19,8 +20,11 @@ from mongekit.generators import (
 from mongekit.menelaus import EdgePointSet, edge_points_from_weights
 from mongekit.noneuclid import sphere_point, xn_edge_points_from_weights
 from mongekit.scenario import (
+    EUCLIDEAN,
+    GEOMETRIES,
     atomic_write_json,
     encode_number,
+    json_text,
     parse_scenario,
     scenario_to_object,
     verify_scenario,
@@ -351,3 +355,59 @@ def test_edge_points_float_and_exact_verdicts_agree(n, seed, positive, perturb):
     if exact["verdict"]:
         residuals = [t["residual"] for t in floats["triple_products"]]
         assert max(residuals + [floats["hyperplane_residual"]]) <= 1e-10
+
+
+@pytest.mark.parametrize("geometry,exact", [
+    (EUCLIDEAN, False), (EUCLIDEAN, True), ("spherical", False), ("hyperbolic", False),
+])
+def test_parsed_edge_points_are_never_classified_again(monkeypatch, geometry, exact):
+    """parse_scenario chooses the backend; verifying and reporting reuse it."""
+    spec = GenSpec(dimension=4, seed=3, kind="edge_points", geometry=geometry)
+    payload = gen_rational_case(spec) if exact else gen_menelaus_case(spec)
+    obj = scenario_to_object(payload, geometry=geometry, expect=True)
+    calls = []
+
+    def counting(values):
+        calls.append(1)
+        return is_exact(values)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("mongekit") and getattr(module, "is_exact", None) is is_exact:
+            monkeypatch.setattr(module, "is_exact", counting)
+    report = verify_scenario(parse_scenario(obj, exact=exact))
+    assert report["verdict"] is True
+    assert calls == []
+
+
+def _report_text(report):
+    return json_text({k: v for k, v in report.items() if k != "elapsed_seconds"})
+
+
+@pytest.mark.parametrize("geometry", GEOMETRIES)
+@pytest.mark.parametrize("positive", [True, False])
+def test_echo_reverifies(geometry, positive):
+    """Re-verifying a report's echo gives the same verdict.  E^n reports
+    come back byte for byte; S^n and H^n ones need not, since normalising
+    the echoed points again can move their last bits."""
+    spec = GenSpec(dimension=6, seed=8, kind="edge_points", geometry=geometry,
+                   perturb=None if positive else 0.01)
+    for index in range(8):
+        payload = gen_menelaus_case(spec, positive=positive, index=index)
+        report = verify_scenario(parse_scenario(
+            scenario_to_object(payload, geometry=geometry, expect=positive)))
+        again = verify_scenario(parse_scenario(report["scenario"]))
+        assert again["verdict"] is report["verdict"] is positive
+        if geometry == EUCLIDEAN:
+            assert _report_text(again) == _report_text(report)
+
+
+def test_exact_echo_reverifies_byte_for_byte():
+    for index, positive in enumerate([True, False] * 4):
+        spec = GenSpec(dimension=5, seed=2, kind="edge_points",
+                       perturb=None if positive else 0.01)
+        obj = scenario_to_object(gen_rational_case(spec, positive=positive, index=index),
+                                 expect=positive)
+        report = verify_scenario(parse_scenario(obj, exact=True))
+        again = verify_scenario(parse_scenario(report["scenario"], exact=True))
+        assert again["verdict"] is report["verdict"] is positive
+        assert _report_text(again) == _report_text(report)
